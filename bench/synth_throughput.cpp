@@ -18,11 +18,9 @@
 #include "bench_json.hpp"
 
 #include <cstdio>
-#include <random>
 
 #include "engine/scenario.hpp"
 #include "protocol/builders.hpp"
-#include "protocol/classic_protocols.hpp"
 #include "protocol/compiled.hpp"
 #include "simulator/gossip_sim.hpp"
 #include "simulator/kernels.hpp"
@@ -195,74 +193,7 @@ void BM_EvalPerMoveDraft(benchmark::State& state, EvalMember m) {
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
 
-// --- delta-evaluation arms -------------------------------------------------
-//
-//   eval-delta/<full|incremental>/<uniform|tail>/n<N>
-//
-// DraftEvaluator moves/s under a seeded move stream on a hypercube
-// schedule with tail slack: the period is two copies of the dimension-d
-// coloring, so gossip completes halfway through the period.  Moves
-// re-slot a random link inside one round — semantically a no-op, so every
-// arm evaluates identical objectives and the moves/s ratio is pure
-// evaluation cost.  `uniform` draws the round across the whole period
-// (replay depth ~period/2 — the annealer's converged regime); `tail`
-// draws from the slack half past the completion round, where suffix
-// replay pays nothing and incremental evaluation is O(1) per move (the
-// regime that unlocks n in the hundreds).  The replayed_rounds /
-// replay_total_rounds counters in BENCH_synth_throughput.json record how
-// much simulation each arm actually ran.
-void BM_EvalDelta(benchmark::State& state, int dim,
-                  sysgo::synth::EvalMode mode, bool tail_moves) {
-  auto sched =
-      sysgo::protocol::hypercube_schedule(dim, Mode::kFullDuplex);
-  const auto one_period = sched.period;
-  sched.period.insert(sched.period.end(), one_period.begin(),
-                      one_period.end());
-  auto draft = sysgo::synth::ScheduleDraft::from_schedule(sched);
-  const int period = draft.period();
-  const sysgo::synth::ObjectiveOptions opts;
-  sysgo::synth::DraftEvaluator evaluator(mode);
-  std::mt19937_64 rng(0x5e1ec7edULL + static_cast<unsigned>(dim));
-  draft.clear_touched();
-  std::int64_t moves = 0;
-  for (auto _ : state) {
-    const int lo = tail_moves ? period / 2 : 0;
-    const int r = lo + static_cast<int>(
-                           rng() % static_cast<std::size_t>(period - lo));
-    if (!draft.links(r).empty()) {
-      const auto link =
-          draft.remove(r, rng() % draft.links(r).size());
-      (void)draft.insert(r, link);
-    }
-    const auto obj = evaluator.evaluate(draft, opts);
-    benchmark::DoNotOptimize(obj);
-    draft.clear_touched();
-    ++moves;
-  }
-  const auto& stats = evaluator.replay_stats();
-  state.counters["moves/s"] = benchmark::Counter(
-      static_cast<double>(moves), benchmark::Counter::kIsRate);
-  state.counters["replayed_rounds"] =
-      benchmark::Counter(static_cast<double>(stats.replayed_rounds));
-  state.counters["replay_total_rounds"] =
-      benchmark::Counter(static_cast<double>(stats.total_rounds));
-}
-
 const bool kPerfArmsRegistered = [] {
-  for (const int dim : {5, 7, 8}) {  // n = 32, 128, 256
-    const std::string n = "n" + std::to_string(1 << dim);
-    for (const bool tail : {false, true}) {
-      const std::string regime = tail ? "tail" : "uniform";
-      benchmark::RegisterBenchmark(
-          ("eval-delta/full/" + regime + "/" + n).c_str(), BM_EvalDelta,
-          dim, sysgo::synth::EvalMode::kFull, tail)
-          ->Unit(benchmark::kMicrosecond);
-      benchmark::RegisterBenchmark(
-          ("eval-delta/incremental/" + regime + "/" + n).c_str(),
-          BM_EvalDelta, dim, sysgo::synth::EvalMode::kIncremental, tail)
-          ->Unit(benchmark::kMicrosecond);
-    }
-  }
   for (const EvalMember& m : eval_corpus()) {
     const std::string tag = sysgo::topology::family_name(m.family, m.d) +
                             "_D" + std::to_string(m.D);

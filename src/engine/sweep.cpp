@@ -322,9 +322,6 @@ SweepRecord SweepRunner::run_job_impl(const SweepJob& job,
       so.time_budget_ms = limits.synth_time_budget_ms;
       so.threads = limits.synth_threads;
       so.seed = limits.seed;
-      so.eval = limits.synth_eval == SynthEval::kFull
-                    ? synth::EvalMode::kFull
-                    : synth::EvalMode::kIncremental;
       const auto sr = synth::synthesize(g, so);
       r.s = sr.schedule.period_length();
       r.rounds = sr.objective.rounds;

@@ -72,9 +72,9 @@ enum class EventKind : std::uint8_t {
   kFlowEnd = 3,   // arrow head at ts_us
 };
 
-// 8 fits str_mask's uint8 bit-per-arg exactly; the synthesizer's restart
-// spans are the widest emitter (restart/accepted/improved + the three
-// replay-savings args).
+// 8 fits str_mask's uint8 bit-per-arg exactly; the widest emitter, a
+// synthesizer restart span under --perf, carries six (restart/accepted/
+// improved + the three counter-derived perf args).
 inline constexpr std::size_t kMaxArgs = 8;
 
 /// One event arg: interned key, and either a plain integer value or (when

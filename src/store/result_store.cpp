@@ -85,9 +85,6 @@ std::string limits_fingerprint(engine::Task task,
           << " max_states=" << limits.solve_max_states;
       break;
     case engine::Task::kSynthesize:
-      // synth_eval is deliberately NOT part of the fingerprint: full and
-      // incremental evaluation produce byte-identical results (CI diffs the
-      // two), so folding it in would only split the cache.
       out << "restarts=" << limits.synth_restarts
           << " iterations=" << limits.synth_iterations
           << " max_rounds=" << limits.simulate_max_rounds

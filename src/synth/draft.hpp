@@ -76,44 +76,13 @@ class ScheduleDraft {
   /// undo).  Requires period() > 1 — a schedule needs a nonempty period.
   std::vector<graph::Arc> remove_round(int r);
 
-  // --- move provenance (the delta evaluator's invalidation input) ---
-  //
-  // Every mutation records the earliest stored round whose content (or
-  // position — rotation and period edits touch round 0 onward) it changed
-  // since the last clear_touched().  Knowledge evolution through executed
-  // rounds 1..touched_round() is therefore unaffected by the accumulated
-  // moves, which is exactly the prefix suffix-replay may keep.
-
-  /// Earliest stored round touched since clear_touched(), or -1 when the
-  /// draft is untouched.
-  [[nodiscard]] int touched_round() const noexcept { return touched_; }
-
-  /// Did any grow/shrink change the period length since clear_touched()?
-  /// (Suffix replay cannot cross a period change: the executed-round ->
-  /// stored-round wrap moves for every round, so evaluators fall back to a
-  /// full run.)
-  [[nodiscard]] bool period_changed() const noexcept { return period_changed_; }
-
-  /// Mark the draft clean (called after an evaluator has caught up).
-  void clear_touched() noexcept {
-    touched_ = -1;
-    period_changed_ = false;
-  }
-
  private:
-  void mark_touched(int r) noexcept {
-    if (touched_ < 0 || r < touched_) touched_ = r;
-  }
-
-
   int n_ = 0;
   protocol::Mode mode_ = protocol::Mode::kHalfDuplex;
   std::vector<std::vector<graph::Arc>> rounds_;
   // occupancy_[r][v] = index of v's link in rounds_[r], or -1.
   std::vector<std::vector<int>> occupancy_;
   std::size_t total_links_ = 0;
-  int touched_ = -1;             // earliest touched round, -1 = clean
-  bool period_changed_ = false;  // any grow/shrink since clear_touched()
 };
 
 }  // namespace sysgo::synth

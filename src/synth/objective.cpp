@@ -1,7 +1,5 @@
 #include "synth/objective.hpp"
 
-#include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -82,6 +80,14 @@ void run_broadcast_objective(const protocol::CompiledSchedule& cs, int source,
   obj.coverage = reached;
 }
 
+/// The Theorem 4.1 gap term: measured rounds minus the audited lower bound,
+/// clamped at 0 (the audit is a lower bound).
+double audit_gap_of(const protocol::CompiledSchedule& cs, int rounds) {
+  const auto audit = core::audit_schedule(cs);
+  const double gap = static_cast<double>(rounds - audit.round_lower_bound);
+  return gap < 0.0 ? 0.0 : gap;
+}
+
 /// The shared body of evaluate / evaluate_batch: period/links bookkeeping,
 /// the goal run through the given scratch, and the optional audit term.
 Objective evaluate_with_scratch(const protocol::CompiledSchedule& cs,
@@ -98,11 +104,8 @@ Objective evaluate_with_scratch(const protocol::CompiledSchedule& cs,
     run_gossip_objective(cs, arena.acquire(cs.n()), opts.max_rounds, obj);
   else
     run_broadcast_objective(cs, opts.source, opts.max_rounds, reach, obj);
-  if (opts.audit_gap && opts.goal == Goal::kGossip && obj.feasible) {
-    const auto audit = core::audit_schedule(cs);
-    obj.audit_gap = static_cast<double>(obj.rounds - audit.round_lower_bound);
-    if (obj.audit_gap < 0.0) obj.audit_gap = 0.0;  // audit is a lower bound
-  }
+  if (opts.audit_gap && opts.goal == Goal::kGossip && obj.feasible)
+    obj.audit_gap = audit_gap_of(cs, obj.rounds);
   return obj;
 }
 
@@ -152,69 +155,22 @@ std::vector<Objective> evaluate_batch(
 
 // ------------------------------------------------------------ DraftEvaluator
 
-DraftEvaluator::DraftEvaluator(EvalMode mode, int checkpoint_stride)
-    : mode_(mode), know_(checkpoint_stride), reach_(checkpoint_stride) {}
-
-void DraftEvaluator::ensure_scratch(int n) {
-  if (n == scratch_n_) return;
-  // Size both goals' scratch together: alternating gossip and broadcast
-  // evaluations at one n never reallocate (the knowledge matrix is the
-  // larger layout; the reach vector rides along).
-  know_.acquire(n);
-  reach_.acquire(n, 0);
-  scratch_n_ = n;
-  valid_upto_ = -1;  // fresh state: no lineage yet
-}
-
-void DraftEvaluator::invalidate_from(int round) noexcept {
-  if (mode_ != EvalMode::kIncremental) return;
-  const int bound = round < 0 ? 0 : round;
-  if (valid_upto_ > bound) valid_upto_ = bound;
-}
-
-std::size_t DraftEvaluator::checkpoint_bytes() const noexcept {
-  return (know_.allocated() ? know_.checkpoint_bytes() : 0) +
-         reach_.checkpoint_bytes();
-}
-
 const std::uint64_t* DraftEvaluator::scratch_data() const noexcept {
-  return know_.allocated() ? know_.matrix().row(0).data() : nullptr;
-}
-
-/// Period / links bookkeeping plus the audit-gap term (identical on both
-/// evaluation paths — the auditor consumes the compiled flat form, one
-/// compile per feasible candidate).
-void DraftEvaluator::finish(const ScheduleDraft& draft,
-                            const ObjectiveOptions& opts,
-                            Objective& obj) const {
-  if (opts.audit_gap && opts.goal == Goal::kGossip && obj.feasible) {
-    const auto cs = protocol::CompiledSchedule::compile(draft.to_schedule());
-    const auto audit = core::audit_schedule(cs);
-    obj.audit_gap = static_cast<double>(obj.rounds - audit.round_lower_bound);
-    if (obj.audit_gap < 0.0) obj.audit_gap = 0.0;
-  }
+  return know_ != nullptr ? know_->row(0).data() : nullptr;
 }
 
 Objective DraftEvaluator::evaluate(const ScheduleDraft& draft,
                                    const ObjectiveOptions& opts) {
-  ++stats_.evals;
-  return mode_ == EvalMode::kIncremental ? evaluate_incremental(draft, opts)
-                                         : evaluate_full(draft, opts);
-}
-
-Objective DraftEvaluator::evaluate_full(const ScheduleDraft& draft,
-                                        const ObjectiveOptions& opts) {
   const int n = draft.n();
   const int period = draft.period();
   const bool full = draft.mode() == protocol::Mode::kFullDuplex;
   Objective obj;
   obj.period = period;
   obj.links = static_cast<int>(draft.total_links());
-  ++stats_.full_replays;
 
   if (opts.goal == Goal::kGossip) {
-    ensure_scratch(n);
-    simulator::KnowledgeMatrix& know = know_.acquire(n);
+    simulator::KnowledgeMatrix& know = arena_.acquire(n);
+    know_ = &know;
     if (know.all_full()) {  // n == 1
       obj.feasible = true;
       obj.rounds = 0;
@@ -246,86 +202,8 @@ Objective DraftEvaluator::evaluate_full(const ScheduleDraft& draft,
     if (opts.source < 0 || opts.source >= n)
       throw std::invalid_argument(
           "synth::evaluate: broadcast source out of range");
-    ensure_scratch(n);
-    reach_.acquire(n, opts.source);
-    if (reach_.complete()) {  // n == 1
-      obj.feasible = true;
-      obj.rounds = 0;
-      obj.coverage = reach_.reached();
-    } else {
-      int r = 0;
-      for (int i = 1; i <= opts.max_rounds; ++i) {
-        // Matching property: a vertex sits in at most one link per round,
-        // so an exchange's two directions only talk to each other —
-        // immediate marking equals the snapshot-semantics serial sweep.
-        // Full-duplex draft links are tail < head representatives, hence
-        // the pair expansion.
-        reach_.step(draft.links(r), full);
-        if (reach_.complete()) {
-          obj.feasible = true;
-          obj.rounds = i;
-          break;
-        }
-        if (++r == period) r = 0;
-      }
-      obj.coverage = reach_.reached();
-    }
-  }
-
-  const int executed = obj.feasible ? obj.rounds : opts.max_rounds;
-  stats_.replayed_rounds += executed;
-  stats_.total_rounds += executed;
-  stats_.last_replayed_rounds = executed;
-  finish(draft, opts, obj);
-  return obj;
-}
-
-/// Incremental-mode full replay without COW maintenance: simulates on a
-/// private scratch so the checkpointed state (still describing the last
-/// checkpointed draft) survives untouched.  Only round 0 resumes remain
-/// valid afterwards — recorded via valid_upto_ = 0.
-Objective DraftEvaluator::evaluate_plain(const ScheduleDraft& draft,
-                                         const ObjectiveOptions& opts) {
-  const int n = draft.n();
-  const int period = draft.period();
-  const bool full = draft.mode() == protocol::Mode::kFullDuplex;
-  Objective obj;
-  obj.period = period;
-  obj.links = static_cast<int>(draft.total_links());
-  ++stats_.full_replays;
-
-  if (opts.goal == Goal::kGossip) {
-    if (!plain_know_ || plain_know_->size() != n)
-      plain_know_ = std::make_unique<simulator::KnowledgeMatrix>(n);
-    else
-      plain_know_->reset();
-    simulator::KnowledgeMatrix& know = *plain_know_;
-    if (know.all_full()) {  // n == 1
-      obj.feasible = true;
-      obj.rounds = 0;
-      obj.coverage = n;
-    } else {
-      int r = 0;
-      for (int i = 1; i <= opts.max_rounds; ++i) {
-        const std::vector<graph::Arc>& links = draft.links(r);
-        if (full)
-          know.merge_pairs(links);
-        else
-          know.merge_arcs(links);
-        if (know.all_full()) {
-          obj.feasible = true;
-          obj.rounds = i;
-          obj.coverage = n * n;
-          break;
-        }
-        if (++r == period) r = 0;
-      }
-      if (!obj.feasible)
-        for (int v = 0; v < n; ++v) obj.coverage += know.count(v);
-    }
-  } else {
-    plain_reach_.assign(static_cast<std::size_t>(n), 0);
-    plain_reach_[static_cast<std::size_t>(opts.source)] = 1;
+    reach_.assign(static_cast<std::size_t>(n), 0);
+    reach_[static_cast<std::size_t>(opts.source)] = 1;
     int reached = 1;
     if (reached == n) {  // n == 1
       obj.feasible = true;
@@ -334,16 +212,18 @@ Objective DraftEvaluator::evaluate_plain(const ScheduleDraft& draft,
       int r = 0;
       for (int i = 1; i <= opts.max_rounds; ++i) {
         for (const graph::Arc& a : draft.links(r)) {
-          // Mirrors ReachCheckpoints::step — matching property makes
-          // immediate marking exact; full-duplex pair representatives
-          // relay both ways.
-          if (plain_reach_[static_cast<std::size_t>(a.tail)] &&
-              !plain_reach_[static_cast<std::size_t>(a.head)]) {
-            plain_reach_[static_cast<std::size_t>(a.head)] = 1;
+          // Matching property: a vertex sits in at most one link per round,
+          // so an exchange's two directions only talk to each other —
+          // immediate marking equals the snapshot-semantics serial sweep.
+          // Full-duplex draft links are tail < head representatives, hence
+          // the relay in both directions.
+          if (reach_[static_cast<std::size_t>(a.tail)] &&
+              !reach_[static_cast<std::size_t>(a.head)]) {
+            reach_[static_cast<std::size_t>(a.head)] = 1;
             ++reached;
-          } else if (full && plain_reach_[static_cast<std::size_t>(a.head)] &&
-                     !plain_reach_[static_cast<std::size_t>(a.tail)]) {
-            plain_reach_[static_cast<std::size_t>(a.tail)] = 1;
+          } else if (full && reach_[static_cast<std::size_t>(a.head)] &&
+                     !reach_[static_cast<std::size_t>(a.tail)]) {
+            reach_[static_cast<std::size_t>(a.tail)] = 1;
             ++reached;
           }
         }
@@ -358,115 +238,11 @@ Objective DraftEvaluator::evaluate_plain(const ScheduleDraft& draft,
     obj.coverage = reached;
   }
 
-  valid_upto_ = 0;  // this draft was never checkpointed
-  const int executed = obj.feasible ? obj.rounds : opts.max_rounds;
-  stats_.replayed_rounds += executed;
-  stats_.total_rounds += executed;
-  stats_.last_replayed_rounds = executed;
-  finish(draft, opts, obj);
-  return obj;
-}
-
-Objective DraftEvaluator::evaluate_incremental(const ScheduleDraft& draft,
-                                               const ObjectiveOptions& opts) {
-  const int n = draft.n();
-  const int period = draft.period();
-  const bool full = draft.mode() == protocol::Mode::kFullDuplex;
-  if (opts.goal == Goal::kBroadcast && (opts.source < 0 || opts.source >= n))
-    throw std::invalid_argument(
-        "synth::evaluate: broadcast source out of range");
-  Objective obj;
-  obj.period = period;
-  obj.links = static_cast<int>(draft.total_links());
-
-  ensure_scratch(n);
-  // The draft-reported invalidation point: knowledge evolution through
-  // executed round t is shared with the previously evaluated draft, so the
-  // nearest checkpoint at or below t is a valid resume point.  A clean
-  // draft (-1) is the previously evaluated one — everything is shared.  Any
-  // shape change breaks the lineage entirely.
-  int t = draft.period_changed() ? 0
-          : draft.touched_round() < 0
-              ? std::numeric_limits<int>::max()
-              : draft.touched_round();
-  if (period != last_period_ || draft.mode() != last_mode_ ||
-      opts.goal != last_goal_ ||
-      (opts.goal == Goal::kBroadcast && opts.source != last_source_))
-    t = 0;
-  if (t > valid_upto_) t = valid_upto_;
-  if (t < 0) t = 0;
-  const int capped = std::min(t, opts.max_rounds);
-  const bool gossip = opts.goal == Goal::kGossip;
-  const int resume = gossip ? know_.resume_point(capped)
-                            : reach_.resume_point(capped);
-  const int live = gossip ? know_.live_round() : reach_.live_round();
-  if (resume < live && resume < 2 * know_.stride()) {
-    // A near-zero resume point saves fewer rounds than the COW maintenance
-    // it would pay for (snapshots, dirty tracking, restores), so run the
-    // plain loop instead — except every kReseedEvery-th time, when the
-    // replay goes through the checkpoint layer to re-seed the lineage so
-    // that deep resume points (and O(1) continue-from-live evals, which
-    // are always taken: resume == live) come back once the move stream
-    // allows them.  In regimes where replay cannot help (completion round
-    // >> period), this bounds checkpoint overhead to a small fraction of
-    // evals; in tail-slack regimes the resume point stays deep and this
-    // branch is rare.
-    if (++plain_streak_ < kReseedEvery) return evaluate_plain(draft, opts);
-    plain_streak_ = 0;
-    ++stats_.full_replays;
-  } else {
-    plain_streak_ = 0;
-    if (resume == 0) ++stats_.full_replays;
-  }
-
-  // A move can only touch a stored round, so every future rewind target is
-  // < period: snapshots past the period tail would never be restored from.
-  // Capping them there turns long runs (adaptive-cap coverage probes) into
-  // pure simulation after the first wrap.
-  simulator::ReplayOutcome out;
-  if (opts.goal == Goal::kGossip) {
-    know_.set_snapshot_horizon(period - 1);
-    out = simulator::replay_gossip_rounds(
-        know_, period, full, t, opts.max_rounds,
-        [&draft](int p) -> std::span<const graph::Arc> {
-          return draft.links(p);
-        });
-    if (out.complete) {
-      obj.feasible = true;
-      obj.rounds = out.rounds;
-      // n == 1 completes at round 0 with coverage n (the full path's
-      // convention); every other completion has seen all n^2 deliveries.
-      obj.coverage = out.rounds == 0 && n == 1 ? n : n * n;
-    } else {
-      const simulator::KnowledgeMatrix& know = know_.matrix();
-      for (int v = 0; v < n; ++v) obj.coverage += know.count(v);
-    }
-  } else {
-    if (!reach_.allocated() || reach_.size() != n ||
-        reach_.source() != opts.source)
-      reach_.acquire(n, opts.source);
-    reach_.set_snapshot_horizon(period - 1);
-    out = simulator::replay_broadcast_rounds(
-        reach_, period, full, t, opts.max_rounds,
-        [&draft](int p) -> std::span<const graph::Arc> {
-          return draft.links(p);
-        });
-    obj.feasible = out.complete;
-    if (out.complete) obj.rounds = out.rounds;
-    obj.coverage = reach_.reached();
-  }
-
-  // The state now reflects this draft end to end; until invalidate_from()
-  // says otherwise, every checkpoint is a valid resume point.
-  valid_upto_ = std::numeric_limits<int>::max();
-  last_period_ = period;
-  last_mode_ = draft.mode();
-  last_goal_ = opts.goal;
-  last_source_ = opts.source;
-  stats_.replayed_rounds += out.rounds - out.start_round;
-  stats_.total_rounds += out.rounds;
-  stats_.last_replayed_rounds = out.rounds - out.start_round;
-  finish(draft, opts, obj);
+  // The auditor consumes the compiled flat form, so a feasible candidate
+  // compiles once for the gap term.
+  if (opts.audit_gap && opts.goal == Goal::kGossip && obj.feasible)
+    obj.audit_gap = audit_gap_of(
+        protocol::CompiledSchedule::compile(draft.to_schedule()), obj.rounds);
   return obj;
 }
 

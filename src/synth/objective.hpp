@@ -33,7 +33,6 @@
 
 #include "protocol/compiled.hpp"
 #include "simulator/batch.hpp"
-#include "simulator/checkpoints.hpp"
 #include "synth/draft.hpp"
 
 namespace sysgo::synth {
@@ -86,104 +85,34 @@ struct Objective {
     std::span<const protocol::CompiledSchedule* const> batch,
     const ObjectiveOptions& opts);
 
-/// Draft evaluation strategy.
-enum class EvalMode {
-  /// Re-simulate from round 0 on every call (the one-shot semantics).
-  kFull,
-  /// Checkpoint + suffix replay: keep the knowledge state and its round
-  /// snapshots alive across calls and re-simulate only from the earliest
-  /// round the draft's moves touched.  Byte-identical objectives to kFull
-  /// (CI-enforced); see the contract on evaluate().
-  kIncremental,
-};
-
 /// Reusable draft evaluator: identical objectives to
 /// evaluate(CompiledSchedule::compile(d.to_schedule(), g), opts) with no
-/// per-call compile and no per-call allocation.  Drafts reject any move
-/// that would break the matching property and only activate pool links, so
-/// the compile-time validation is redundant on this path (property-tested
-/// in tests/simulator/test_kernels.cpp).  The audit-gap term, when
-/// requested and the candidate is feasible, still compiles once — the
-/// auditor consumes the flat form — which matches the old cost only where
-/// the old path paid it for every move.
+/// per-call compile and no per-call allocation.  Every call re-simulates
+/// from round 0: a systolic schedule repeats its period many times before
+/// gossip completes, so a move in any stored round changes almost the whole
+/// run and there is no reusable prefix worth keeping.  Drafts reject any
+/// move that would break the matching property and only activate pool
+/// links, so the compile-time validation is redundant on this path
+/// (property-tested in tests/simulator/test_kernels.cpp).  The audit-gap
+/// term, when requested and the candidate is feasible, still compiles once
+/// — the auditor consumes the flat form.
 class DraftEvaluator {
  public:
-  explicit DraftEvaluator(
-      EvalMode mode = EvalMode::kFull,
-      int checkpoint_stride = simulator::kDefaultCheckpointStride);
-
-  /// Evaluate a draft.  Incremental contract: successive calls must form
-  /// one mutation lineage — each draft derives from the previously
-  /// evaluated one by the moves summarized in draft.touched_round() /
-  /// draft.period_changed() (cleared by the caller once a draft is
-  /// adopted), and a revert to the pre-move draft is announced through
-  /// invalidate_from().  Any shape change (n, mode, goal, source, period
-  /// length) is detected and falls back to a full replay on its own.
+  /// Evaluate a draft.  Throws std::invalid_argument for a broadcast
+  /// source out of range.
   [[nodiscard]] Objective evaluate(const ScheduleDraft& draft,
                                    const ObjectiveOptions& opts);
 
-  /// Incremental reject hook: the caller reverted the draft it just had
-  /// evaluated, undoing a move whose earliest touched round was `round` —
-  /// state and checkpoints above that round no longer describe the
-  /// caller's draft.  Cheap (stores a bound; nothing is dropped until the
-  /// next evaluate()).  No-op in full mode.
-  void invalidate_from(int round) noexcept;
-
-  struct ReplayStats {
-    std::int64_t evals = 0;            // evaluate() calls
-    std::int64_t full_replays = 0;     // ran from round 0 (fallback or first)
-    std::int64_t replayed_rounds = 0;  // rounds actually simulated
-    std::int64_t total_rounds = 0;     // rounds the kFull path would have run
-    int last_replayed_rounds = 0;      // rounds simulated by the last call
-  };
-  [[nodiscard]] const ReplayStats& replay_stats() const noexcept {
-    return stats_;
-  }
-
-  /// Live snapshot storage held for suffix replay (0 in full mode).
-  [[nodiscard]] std::size_t checkpoint_bytes() const noexcept;
-
-  /// Test hook: backing words of the scratch knowledge matrix (nullptr
-  /// before first use).  Stable across goal switches at a fixed n — the
-  /// scratch is sized once for both goals' layouts.
+  /// Test hook: backing words of the gossip scratch matrix (nullptr before
+  /// the first gossip evaluation).  Stable across goal switches at a fixed
+  /// n — broadcast runs on its own reach vector.
   [[nodiscard]] const std::uint64_t* scratch_data() const noexcept;
 
  private:
-  /// Plain full replays per checkpointed one when resume points sit near
-  /// zero (see evaluate_incremental): bounds COW maintenance to ~1/8 of
-  /// evals in regimes where suffix replay cannot help, while lineage
-  /// recovers within a few evals once resume points move deeper.
-  static constexpr int kReseedEvery = 8;
-
-  void ensure_scratch(int n);
-  [[nodiscard]] Objective evaluate_full(const ScheduleDraft& draft,
-                                        const ObjectiveOptions& opts);
-  [[nodiscard]] Objective evaluate_incremental(const ScheduleDraft& draft,
-                                               const ObjectiveOptions& opts);
-  [[nodiscard]] Objective evaluate_plain(const ScheduleDraft& draft,
-                                         const ObjectiveOptions& opts);
-  void finish(const ScheduleDraft& draft, const ObjectiveOptions& opts,
-              Objective& obj) const;
-
-  EvalMode mode_;
-  simulator::KnowledgeCheckpoints know_;  // gossip scratch (both modes)
-  simulator::ReachCheckpoints reach_;     // broadcast scratch (both modes)
-  // Plain-loop scratch for incremental-mode full replays that bypass COW
-  // maintenance entirely (the checkpointed state stays describing the last
-  // checkpointed draft; valid_upto_ = 0 records that only round 0 resumes).
-  std::unique_ptr<simulator::KnowledgeMatrix> plain_know_;
-  std::vector<char> plain_reach_;
-  int plain_streak_ = 0;  // plain evals since the last checkpointed one
-  int scratch_n_ = -1;
-  // Incremental lineage state: checkpoints at or below valid_upto_ describe
-  // the caller's current draft (-1 = nothing valid yet), and the last_*
-  // fields detect shape changes that force the full fallback.
-  int valid_upto_ = -1;
-  int last_period_ = -1;
-  int last_source_ = -1;
-  protocol::Mode last_mode_ = protocol::Mode::kHalfDuplex;
-  Goal last_goal_ = Goal::kGossip;
-  ReplayStats stats_;
+  simulator::GossipArena arena_;  // gossip scratch
+  std::vector<char> reach_;       // broadcast scratch
+  // The matrix arena_ last handed out (scratch_data() reads it).
+  const simulator::KnowledgeMatrix* know_ = nullptr;
 };
 
 }  // namespace sysgo::synth

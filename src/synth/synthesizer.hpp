@@ -50,14 +50,6 @@ struct SynthOptions {
   /// Seed restart 1 from an exact-search witness when n <= 12 (costs a
   /// solver run; off by default).
   bool exact_warm_start = false;
-  /// Draft evaluation strategy for the annealing loop.  kIncremental keeps
-  /// per-round knowledge checkpoints alive across moves and re-simulates
-  /// only from the earliest round a move touched; results are byte-identical
-  /// to kFull for any seed/thread count (CI-asserted), so this is purely a
-  /// throughput knob.
-  EvalMode eval = EvalMode::kIncremental;
-  /// Checkpoint spacing in rounds for the incremental evaluator.
-  int checkpoint_stride = simulator::kDefaultCheckpointStride;
 };
 
 struct SynthResult {
@@ -67,11 +59,6 @@ struct SynthResult {
   int restarts_run = 0;
   std::int64_t moves_proposed = 0;  // across all restarts
   std::int64_t moves_accepted = 0;
-  /// Rounds actually re-simulated by the annealers' draft evaluations vs
-  /// the rounds a full (from round 0) evaluation would have run — the
-  /// delta-evaluation savings (equal when eval == kFull).
-  std::int64_t replayed_rounds = 0;
-  std::int64_t replay_total_rounds = 0;
   double millis = 0.0;  // wall clock
 };
 

@@ -16,6 +16,7 @@
 #include <bit>
 #include <cstdint>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "protocol/builders.hpp"
@@ -326,6 +327,14 @@ TEST(Synth, DraftEvaluatorMatchesCompiledEvaluate) {
                                 synth::evaluate(cs, opts),
                                 "broadcast trial=" + std::to_string(trial) +
                                     " cap=" + std::to_string(cap));
+        // The source range check guards both evaluators alike.
+        for (const int bad : {-1, g.vertex_count()}) {
+          opts.source = bad;
+          EXPECT_THROW((void)de.evaluate(draft, opts), std::invalid_argument)
+              << "source=" << bad;
+          EXPECT_THROW((void)synth::evaluate(cs, opts), std::invalid_argument)
+              << "source=" << bad;
+        }
       }
     }
   }

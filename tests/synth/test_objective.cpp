@@ -138,5 +138,42 @@ TEST(Objective, AuditGapTermJoinsTheScore) {
   EXPECT_GE(obj.score(), base.score());
 }
 
+// Switching goals on one evaluator must not reallocate the gossip scratch
+// (broadcast runs on its own reach vector), and results after each switch
+// must match fresh evaluators.
+TEST(Objective, DraftEvaluatorScratchSurvivesGoalSwitch) {
+  DraftEvaluator ev;
+  DraftEvaluator fresh_gossip;
+  DraftEvaluator fresh_broadcast;
+  const ScheduleDraft draft = ScheduleDraft::from_schedule(
+      protocol::edge_coloring_schedule(topology::kautz(2, 3),
+                                       Mode::kHalfDuplex));
+  ObjectiveOptions gossip;
+  ObjectiveOptions broadcast;
+  broadcast.goal = Goal::kBroadcast;
+  broadcast.source = 1;
+
+  const Objective g1 = ev.evaluate(draft, gossip);
+  const auto* scratch = ev.scratch_data();
+  ASSERT_NE(scratch, nullptr);
+  const Objective b1 = ev.evaluate(draft, broadcast);
+  EXPECT_EQ(ev.scratch_data(), scratch) << "broadcast switch reallocated";
+  const Objective g2 = ev.evaluate(draft, gossip);
+  EXPECT_EQ(ev.scratch_data(), scratch) << "gossip switch reallocated";
+
+  const auto expect_same = [](const Objective& a, const Objective& b,
+                              const char* where) {
+    EXPECT_EQ(a.feasible, b.feasible) << where;
+    EXPECT_EQ(a.rounds, b.rounds) << where;
+    EXPECT_EQ(a.period, b.period) << where;
+    EXPECT_EQ(a.links, b.links) << where;
+    EXPECT_EQ(a.coverage, b.coverage) << where;
+    EXPECT_EQ(a.audit_gap, b.audit_gap) << where;
+  };
+  expect_same(g1, fresh_gossip.evaluate(draft, gossip), "pre-switch");
+  expect_same(b1, fresh_broadcast.evaluate(draft, broadcast), "broadcast");
+  expect_same(g2, g1, "post-switch gossip");
+}
+
 }  // namespace
 }  // namespace sysgo::synth

@@ -179,5 +179,25 @@ TEST(Synthesizer, HeavyMultiRestartImprovesLargerMembers) {
   EXPECT_LT(res.objective.rounds, baseline);  // strictly better than coloring
 }
 
+TEST(Synthesizer, HeavySynthesisAtTwoHundredVertices) {
+  // Synthesis at n in the hundreds stays feasible and thread-count
+  // independent.  Gated like the other heavy suites.
+  if (std::getenv("SYSGO_HEAVY_TESTS") == nullptr)
+    GTEST_SKIP() << "set SYSGO_HEAVY_TESTS=1 to run (~minutes)";
+  const auto g = topology::random_regular(4, 200, 7);
+  SynthOptions opts;
+  opts.restarts = 1;
+  opts.iterations = 300;
+  opts.threads = 1;
+  const auto serial = synthesize(g, opts);
+  opts.threads = 4;
+  const auto threaded = synthesize(g, opts);
+  ASSERT_TRUE(serial.objective.feasible);
+  EXPECT_EQ(threaded.objective.rounds, serial.objective.rounds);
+  EXPECT_EQ(threaded.objective.links, serial.objective.links);
+  EXPECT_DOUBLE_EQ(threaded.objective.score(), serial.objective.score());
+  EXPECT_EQ(threaded.schedule.period, serial.schedule.period);
+}
+
 }  // namespace
 }  // namespace sysgo::synth

@@ -130,14 +130,12 @@ int usage() {
                "[--time-budget MS]\n"
                "              [--synth-threads N] [--threads N] [--seed S] "
                "[--max-rounds M]\n"
-               "              [--synth-eval full|incremental] "
-               "[--format csv|json] [--no-cache]\n"
+               "              [--format csv|json] [--no-cache]\n"
                "              [--store PATH] [--resume] [--shard i/m] "
                "[--metrics PATH] [--progress]\n"
                "              [--trace PATH] [--perf]\n"
                "      multi-start annealing schedule synthesis (src/synth/);\n"
-               "      default: db,kautz, d=2, D=3:5, half duplex, "
-               "incremental eval\n"
+               "      default: db,kautz, d=2, D=3:5, half duplex\n"
                "  sysgo store merge --out OUT IN1 [IN2 ...]\n"
                "      union shard stores into OUT; conflicting records for "
                "the same key\n"
@@ -703,9 +701,8 @@ int cmd_synth(int argc, char** argv) {
             throw std::invalid_argument("--d values must be in [1, 64]");
       } else if (flag == "--D") {
         // Wider than the sweep commands' cap of 30: for the linear-n
-        // families (rr, gnp) D *is* n, and incremental evaluation makes
-        // synthesis at n in the hundreds practical.  Exponential families
-        // are still guarded by their topology builders (hypercube D <= 24).
+        // families (rr, gnp) D *is* n.  Exponential families are still
+        // guarded by their topology builders (hypercube D <= 24).
         spec.dimensions = parse_int_list(value(), flag, false);
         for (int D : spec.dimensions)
           if (D < 1 || D > 4096)
@@ -726,8 +723,6 @@ int cmd_synth(int argc, char** argv) {
       } else if (flag == "--synth-threads") {
         spec.limits.synth_threads =
             static_cast<unsigned>(flag_int(flag, value()));
-      } else if (flag == "--synth-eval") {
-        spec.limits.synth_eval = engine::parse_synth_eval_name(value());
       } else if (flag == "--threads") {
         opts.threads = static_cast<unsigned>(flag_int(flag, value()));
       } else if (flag == "--max-rounds") {
