@@ -76,6 +76,18 @@ const std::vector<Member>& corpus() {
   return *kCorpus;
 }
 
+// Audit-only member: a large full-duplex Kautz graph (n = 12288).  Its
+// audit/compiled arm is one O(n·s) walk of the role tables; the ~45 λ
+// evaluations after it cost the same as on the small members.  Simulating
+// it in every other arm would dominate the run, so it stays out of corpus().
+const Member& large_audit_member() {
+  static const Member* kMember = new Member{
+      "large/kautz(2,13)-full",
+      sysgo::protocol::edge_coloring_schedule(
+          sysgo::topology::make_family(Family::kKautz, 2, 13), Mode::kFullDuplex)};
+  return *kMember;
+}
+
 void BM_SimulateLegacy(benchmark::State& state, const Member& m) {
   for (auto _ : state) {
     const int t = sysgo::simulator::gossip_time(m.schedule, 1 << 20);
@@ -103,7 +115,8 @@ void BM_Compile(benchmark::State& state, const Member& m) {
 // The audit is the other sweep task on the compiled path.  The schedule
 // entry point compiles on every call (what a consumer without a cached
 // CompiledSchedule pays); the compiled entry point is the engine's path —
-// activities derived once, reused across the whole λ bisection.
+// one walk of the role tables groups the vertices into activation classes,
+// then every λ of the bisection costs O(classes), independent of n.
 void BM_AuditPerCallCompile(benchmark::State& state, const Member& m) {
   for (auto _ : state) {
     const auto res = sysgo::core::audit_schedule(m.schedule);
@@ -215,6 +228,10 @@ const bool kRegistered = [] {
                                  BM_SimulateArena, m)
         ->Unit(benchmark::kMicrosecond);
   }
+  benchmark::RegisterBenchmark(
+      ("audit/compiled/" + large_audit_member().name).c_str(), BM_AuditCompiled,
+      large_audit_member())
+      ->Unit(benchmark::kMicrosecond);
   // Batch-width sweep on two representative members (one mid, one large).
   for (const char* name : {"fig5/db(2,6)", "large/kautz(2,8)"}) {
     for (const Member& m : corpus()) {

@@ -12,6 +12,12 @@
 // the worst-case ⌈s/2⌉/⌊s/2⌋ split, it can certify strictly more than the
 // general e(s)·log n bound — the per-protocol refinement the paper's
 // technique enables (see DESIGN.md, ablation 2).
+//
+// Cost: the bound depends on a vertex only through its per-period role
+// sequence, so the audit walks the role tables once to group vertices into
+// activation classes (a handful for the paper's families, not growing with
+// n) and then does O(classes) work per λ — the bisection for λ*, the worst
+// vertex at λ*, and the separator audit's λ grid.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +53,9 @@ struct VertexActivity {
                                        double lambda, protocol::Mode mode);
 
 /// Certified upper bound on ‖M(λ)‖ for this schedule (max over vertices of
-/// the per-vertex local-norm bound).  Increasing in λ.  The schedule
-/// overload compiles per call — in a λ loop, compile once and use the
-/// compiled overload.
+/// the per-vertex local-norm bound, evaluated once per activation class).
+/// Increasing in λ.  The schedule overload compiles per call — in a λ loop,
+/// compile once and use the compiled overload.
 [[nodiscard]] double audit_norm_bound(const protocol::SystolicSchedule& sched,
                                       double lambda);
 [[nodiscard]] double audit_norm_bound(const protocol::CompiledSchedule& cs,
@@ -59,14 +65,14 @@ struct AuditResult {
   double lambda_star = 0.0;  // largest λ with certified ‖M(λ)‖ <= 1
   double e_coeff = 0.0;      // 1/log2(1/λ*)
   int round_lower_bound = 0; // Theorem 4.1 round count at λ*
-  int worst_vertex = -1;     // vertex attaining the norm bound at λ*
+  int worst_vertex = -1;     // lowest-index vertex attaining the bound at λ*
 };
 
 /// Run the audit.  The bound holds for *any* execution length of this
 /// schedule that achieves gossip on an n-vertex network.  The compiled
-/// overload derives the activity summaries once and reuses them across the
-/// whole λ bisection, and requires a periodic compiled schedule (as do the
-/// other compiled audit entry points); the schedule overload compiles
+/// overload builds the activation classes once and evaluates each λ of the
+/// bisection over them, and requires a periodic compiled schedule (as do
+/// the other compiled audit entry points); the schedule overload compiles
 /// first.
 [[nodiscard]] AuditResult audit_schedule(const protocol::CompiledSchedule& cs);
 [[nodiscard]] AuditResult audit_schedule(const protocol::SystolicSchedule& sched);

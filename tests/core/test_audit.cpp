@@ -2,11 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdlib>
+#include <span>
+#include <string>
+#include <utility>
+
+#include "linalg/polynomial.hpp"
+#include "linalg/roots.hpp"
 #include "protocol/builders.hpp"
 #include "protocol/classic_protocols.hpp"
 #include "simulator/gossip_sim.hpp"
 #include "topology/classic.hpp"
 #include "topology/de_bruijn.hpp"
+#include "topology/topology.hpp"
 #include "util/rng.hpp"
 
 namespace sysgo::core {
@@ -189,6 +199,244 @@ TEST(Audit, AuditNormBoundRejectsBadLambda) {
   const auto sched = protocol::path_schedule(4, Mode::kHalfDuplex);
   EXPECT_THROW((void)audit_norm_bound(sched, 0.0), std::invalid_argument);
   EXPECT_THROW((void)audit_norm_bound(sched, 1.0), std::invalid_argument);
+}
+
+
+// ---------------------------------------------------------------------------
+// Differential oracle: the audit evaluates its bound once per activation
+// class (vertices sharing a per-period role sequence).  The reference below
+// is the straightforward per-vertex evaluation — every vertex's bound at
+// every λ, powers by std::pow — and the class evaluation must reproduce it
+// bit for bit, including the lowest-index worst vertex.
+namespace ref {
+
+double half_duplex_bound(const VertexActivity& act, double lambda) {
+  if (act.left_rounds == 0 || act.right_rounds == 0) return 0.0;
+  return lambda * std::sqrt(linalg::delay_polynomial(act.right_rounds, lambda)) *
+         std::sqrt(linalg::delay_polynomial(act.left_rounds, lambda));
+}
+
+double full_duplex_bound(const VertexActivity& act, int s, double lambda) {
+  const auto& rounds = act.active_rounds;
+  if (rounds.size() < 2) return 0.0;
+  double max_row = 0.0;
+  double max_col = 0.0;
+  for (std::size_t a = 0; a < rounds.size(); ++a) {
+    double row = 0.0;
+    double col = 0.0;
+    for (std::size_t b = 0; b < rounds.size(); ++b) {
+      if (a == b) continue;
+      const int fwd = ((rounds[b] - rounds[a]) % s + s) % s;
+      const int bwd = ((rounds[a] - rounds[b]) % s + s) % s;
+      if (fwd > 0 && fwd < s) row += std::pow(lambda, fwd);
+      if (bwd > 0 && bwd < s) col += std::pow(lambda, bwd);
+    }
+    max_row = std::max(max_row, row);
+    max_col = std::max(max_col, col);
+  }
+  return std::sqrt(max_row * max_col);
+}
+
+double vertex_bound(const VertexActivity& act, int s, double lambda, Mode mode) {
+  return mode == Mode::kFullDuplex ? full_duplex_bound(act, s, lambda)
+                                   : half_duplex_bound(act, lambda);
+}
+
+double norm_bound(std::span<const VertexActivity> acts, int s, double lambda,
+                  Mode mode) {
+  double worst = 0.0;
+  for (const auto& act : acts)
+    worst = std::max(worst, vertex_bound(act, s, lambda, mode));
+  return worst;
+}
+
+AuditResult audit(const protocol::CompiledSchedule& cs) {
+  AuditResult res;
+  const auto acts = vertex_activities(cs);
+  const int s = cs.period_length();
+  const Mode mode = cs.mode();
+  constexpr double kLo = 1e-9;
+  constexpr double kHi = 1.0 - 1e-9;
+  const auto f = [&](double lam) { return norm_bound(acts, s, lam, mode) - 1.0; };
+  res.lambda_star = f(kHi) <= 0.0 ? kHi : linalg::bisect(f, kLo, kHi).x;
+  res.e_coeff = e_coefficient(res.lambda_star);
+  res.round_lower_bound = theorem41_round_bound(res.lambda_star, cs.n());
+  double worst = -1.0;
+  for (std::size_t v = 0; v < acts.size(); ++v) {
+    const double b = vertex_bound(acts[v], s, res.lambda_star, mode);
+    if (b > worst) {
+      worst = b;
+      res.worst_vertex = static_cast<int>(v);
+    }
+  }
+  return res;
+}
+
+SeparatorAuditResult separator_audit(const protocol::CompiledSchedule& cs,
+                                     int distance, std::size_t min_size) {
+  const auto acts = vertex_activities(cs);
+  const int s = cs.period_length();
+  const double log_c = std::log2(static_cast<double>(min_size));
+  SeparatorAuditResult best;
+  for (int i = 1; i < 512; ++i) {
+    const double lambda = static_cast<double>(i) / 512;
+    const double f = norm_bound(acts, s, lambda, cs.mode());
+    if (f > 1.0 || f <= 0.0) continue;
+    const double log_inv = std::log2(1.0 / lambda);
+    const double rhs = log_c + (distance - 1) * std::log2(1.0 / f);
+    int t = std::max(1, distance);
+    while (t * log_inv + std::log2(static_cast<double>(t - distance + 2)) +
+               std::log2(static_cast<double>(t)) <
+           rhs) {
+      ++t;
+      if (t > (1 << 28)) break;
+    }
+    if (t > best.round_lower_bound) {
+      best.round_lower_bound = t;
+      best.lambda = lambda;
+    }
+  }
+  return best;
+}
+
+}  // namespace ref
+
+// Bit-equal audit results (EXPECT_EQ on doubles, not a tolerance).
+void expect_matches_reference(const protocol::CompiledSchedule& cs,
+                              const std::string& label) {
+  SCOPED_TRACE(label);
+  const auto got = audit_schedule(cs);
+  const auto want = ref::audit(cs);
+  EXPECT_EQ(got.lambda_star, want.lambda_star);
+  EXPECT_EQ(got.e_coeff, want.e_coeff);
+  EXPECT_EQ(got.round_lower_bound, want.round_lower_bound);
+  EXPECT_EQ(got.worst_vertex, want.worst_vertex);
+}
+
+void expect_norm_and_separator_match_reference(
+    const protocol::CompiledSchedule& cs, const std::string& label) {
+  SCOPED_TRACE(label);
+  const auto acts = vertex_activities(cs);
+  for (double lambda : {0.05, 0.3, 0.5, 0.62, 0.77, 0.95})
+    EXPECT_EQ(audit_norm_bound(cs, lambda),
+              ref::norm_bound(acts, cs.period_length(), lambda, cs.mode()))
+        << "lambda=" << lambda;
+  for (int distance : {1, 2, 3, 5}) {
+    for (std::size_t min_size : {std::size_t{1}, std::size_t{4}, std::size_t{64}}) {
+      const auto got = audit_schedule_with_separator(cs, distance, min_size);
+      const auto want = ref::separator_audit(cs, distance, min_size);
+      EXPECT_EQ(got.lambda, want.lambda) << "distance=" << distance;
+      EXPECT_EQ(got.round_lower_bound, want.round_lower_bound)
+          << "distance=" << distance << " min_size=" << min_size;
+    }
+  }
+}
+
+TEST(AuditClasses, MatchesPerVertexReferenceOnEveryRegistryFamily) {
+  using topology::Family;
+  struct Member {
+    Family family;
+    int d;
+    int D;
+  };
+  const std::vector<Member> members = {
+      {Family::kButterfly, 2, 3},
+      {Family::kWrappedButterflyDirected, 2, 3},
+      {Family::kWrappedButterfly, 2, 3},
+      {Family::kDeBruijnDirected, 2, 4},
+      {Family::kDeBruijn, 2, 4},
+      {Family::kKautzDirected, 2, 3},
+      {Family::kKautz, 2, 3},
+      {Family::kCycle, 2, 7},
+      {Family::kComplete, 2, 6},
+      {Family::kHypercube, 2, 4},
+      {Family::kCubeConnectedCycles, 2, 3},
+      {Family::kShuffleExchange, 2, 4},
+      {Family::kKnodel, 3, 8},
+      {Family::kRandomRegular, 3, 10},
+      {Family::kRandomGnp, 3, 12},
+  };
+  for (const auto& m : members) {
+    const auto g = topology::make_family(m.family, m.d, m.D);
+    for (Mode mode : {Mode::kHalfDuplex, Mode::kFullDuplex}) {
+      const auto cs = protocol::CompiledSchedule::compile(
+          protocol::edge_coloring_schedule(g, mode));
+      const std::string label = topology::family_name(m.family, m.d) + " D=" +
+                                std::to_string(m.D) +
+                                (mode == Mode::kFullDuplex ? " full" : " half");
+      expect_matches_reference(cs, label);
+      expect_norm_and_separator_match_reference(cs, label);
+    }
+  }
+}
+
+TEST(AuditClasses, MatchesPerVertexReferenceOnLargeFullDuplexMembers) {
+  for (const auto& [family, name] :
+       {std::pair{topology::Family::kDeBruijn, "db(2,12)"},
+        std::pair{topology::Family::kKautz, "kautz(2,12)"}}) {
+    const auto cs = protocol::CompiledSchedule::compile(
+        protocol::edge_coloring_schedule(topology::make_family(family, 2, 12),
+                                         Mode::kFullDuplex));
+    expect_matches_reference(cs, name);
+  }
+}
+
+TEST(AuditClasses, MatchesPerVertexReferenceOnRandomSchedules) {
+  util::Rng rng(2024);
+  const auto g = topology::de_bruijn(2, 4);
+  for (Mode mode : {Mode::kHalfDuplex, Mode::kFullDuplex}) {
+    for (int trial = 0; trial < 8; ++trial) {
+      const int s = 2 + trial;
+      const auto cs = protocol::CompiledSchedule::compile(
+          protocol::random_systolic_schedule(g, s, mode, rng));
+      const std::string label = "random s=" + std::to_string(s) +
+                                (mode == Mode::kFullDuplex ? " full" : " half");
+      expect_matches_reference(cs, label);
+      expect_norm_and_separator_match_reference(cs, label);
+    }
+  }
+}
+
+TEST(AuditClasses, HeavyMatchesPerVertexReferenceOnKautz14FullDuplex) {
+  // n = 24,576: the reference walks every vertex at every bisection step.
+  if (std::getenv("SYSGO_HEAVY_TESTS") == nullptr)
+    GTEST_SKIP() << "set SYSGO_HEAVY_TESTS=1 to run";
+  const auto cs = protocol::CompiledSchedule::compile(protocol::edge_coloring_schedule(
+      topology::make_family(topology::Family::kKautz, 2, 14), Mode::kFullDuplex));
+  ASSERT_EQ(cs.n(), 24576);
+  expect_matches_reference(cs, "kautz(2,14) full");
+}
+
+TEST(AuditClasses, WorstVertexOfAOneClassMemberIsVertexZero) {
+  // Every vertex of WBF(2,8) full-duplex has the same role sequence.
+  const auto cs = protocol::CompiledSchedule::compile(protocol::edge_coloring_schedule(
+      topology::make_family(topology::Family::kWrappedButterfly, 2, 8),
+      Mode::kFullDuplex));
+  const auto acts = vertex_activities(cs);
+  for (const auto& act : acts) ASSERT_EQ(act.active_rounds, acts[0].active_rounds);
+  EXPECT_EQ(audit_schedule(cs).worst_vertex, 0);
+}
+
+TEST(AuditClasses, WorstVertexIsTheLowestIndexTiedRelay) {
+  // P8 half-duplex: the endpoints have L = R = 1; the six inner vertices all
+  // have L = R = 2, and so tie, across several role sequences.
+  const auto cs = protocol::CompiledSchedule::compile(
+      protocol::path_schedule(8, Mode::kHalfDuplex));
+  const auto res = audit_schedule(cs);
+  const auto acts = vertex_activities(cs);
+  const double top = ref::half_duplex_bound(acts[1], res.lambda_star);
+  EXPECT_LT(ref::half_duplex_bound(acts[0], res.lambda_star), top);
+  for (int v = 2; v <= 6; ++v)
+    EXPECT_EQ(ref::half_duplex_bound(acts[static_cast<std::size_t>(v)],
+                                     res.lambda_star),
+              top);
+  const auto role_sequence = [&](int v) {
+    std::vector<protocol::RoundRole> seq;
+    for (int r = 0; r < cs.round_count(); ++r) seq.push_back(cs.role(r, v));
+    return seq;
+  };
+  EXPECT_NE(role_sequence(1), role_sequence(2));  // tied across classes
+  EXPECT_EQ(res.worst_vertex, 1);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "linalg/jacobi.hpp"
+#include "jacobi.hpp"
 
 #include <algorithm>
 #include <cmath>

@@ -1,9 +1,10 @@
-// Cyclic Jacobi eigenvalue iteration for symmetric matrices.
+// Cyclic Jacobi eigenvalue iteration for symmetric matrices — a test
+// oracle, compiled into the linalg test binary only.
 //
 // An exact (to tolerance) dense eigensolver used to cross-validate the
 // power-iteration norms: ‖M‖₂² is the largest eigenvalue of the symmetric
 // MᵀM, which Jacobi computes with all-eigenvalue certainty (no danger of
-// converging to a subdominant eigenpair).
+// converging to a subdominant eigenpair).  No library code calls it.
 #pragma once
 
 #include <vector>

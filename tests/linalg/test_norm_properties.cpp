@@ -5,7 +5,7 @@
 
 #include <cmath>
 
-#include "linalg/jacobi.hpp"
+#include "jacobi.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/power_iteration.hpp"
 #include "util/rng.hpp"
