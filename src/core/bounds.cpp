@@ -11,7 +11,7 @@ namespace sysgo::core {
 double norm_bound_function(double lambda, int s, Duplex duplex) {
   if (duplex == Duplex::kHalf) {
     if (s == kUnboundedPeriod) return lambda * linalg::delay_polynomial_limit(lambda);
-    const int hi = (s + 1) / 2;  // ceil(s/2)
+    const int hi = s - s / 2;    // ceil(s/2); s + 1 overflows at INT_MAX
     const int lo = s / 2;        // floor(s/2)
     return lambda * std::sqrt(linalg::delay_polynomial(hi, lambda)) *
            std::sqrt(linalg::delay_polynomial(lo, lambda));

@@ -19,9 +19,9 @@
 //
 // The kernels take arbitrary word counts and unaligned pointers (tail words
 // are masked / peeled); alignment and padding are the *caller's* perf
-// lever — KnowledgeMatrix/BatchKnowledge pad rows to 64-byte multiples on
-// 64-byte boundaries so the hot path never splits a cache line and never
-// takes the tail path.
+// lever — KnowledgeMatrix pads rows to 64-byte multiples on 64-byte
+// boundaries so the hot path never splits a cache line and never takes the
+// tail path.
 #pragma once
 
 #include <cstdint>
@@ -42,11 +42,6 @@ struct RowKernels {
   /// a and b both become a | b; deltas[0]/deltas[1] = bits a/b gained.
   void (*merge_both_delta)(std::uint64_t* a, std::uint64_t* b,
                            std::size_t words, int deltas[2]);
-  /// dst |= src and fresh = src & ~dst_old (the per-bit gain mask, written
-  /// to `fresh`); returns popcount(fresh).  BatchKnowledge uses the mask to
-  /// attribute gains to lanes.
-  int (*merge_fresh)(std::uint64_t* dst, const std::uint64_t* src,
-                     std::uint64_t* fresh, std::size_t words);
 };
 
 /// Kernel `k` was compiled into this binary (x86 builds compile all three;

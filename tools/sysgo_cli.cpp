@@ -16,19 +16,20 @@
 //   sysgo bench compare BASE CUR          gate on benchmark regressions
 //   sysgo bench list|context              snapshot / host introspection
 //
-// sweep/solve/synth accept --metrics PATH (write an obs snapshot at exit),
-// --progress (throttled stderr heartbeat with ETA and cache hit rate),
-// --trace PATH (record a span timeline: Chrome trace-event JSON for *.json,
-// binary flight-recorder bytes otherwise; analyze with `sysgo trace
-// report`), and --perf (collect perf_event counters into the --metrics
-// snapshot and --trace span args; degrades to a no-op without PMU access).
+// sweep, solve and synth parse through one flag table (kGridFlags), where
+// each flag names the commands that accept it; a small descriptor per
+// command holds its default grid, its --d/--D ranges and the --max-rounds
+// target.  `sysgo` without arguments lists the flags.
 //
 // Schedule files use the io/protocol_text format ("sysgo-schedule v1").
 // All numeric flags go through util/parse: garbage ("--threads 4x"),
 // overflow, and zero/negative values are rejected at parse time with the
-// offending flag and value named, never silently accepted (the old
-// std::atoi paths) or reported as a bare "stoi" (the old std::stoi paths).
+// offending flag and value named.  List flags (--d, --D, --periods) check
+// both ends of every lo:hi range, and lo <= hi, before expanding it;
+// floating-point flags must be finite.  A stray positional argument prints
+// usage and exits 2 instead of being ignored.
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #if !defined(_WIN32)
 #include <unistd.h>  // isatty: --progress suppresses \r off a TTY
@@ -36,11 +37,13 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/audit.hpp"
@@ -74,26 +77,20 @@ int usage() {
                "  sysgo bound <s|inf> [half|full]\n"
                "  sysgo table <fig4|fig5|fig6|fig8>\n"
                "  sysgo sweep fig5|fig6\n"
-               "  sysgo sweep [--families f1,f2,..] [--d 2,3] [--D lo:hi]\n"
-               "              [--modes half,full] [--tasks bound,diameter,"
-               "simulate,audit,separator,solve-gossip,solve-broadcast]\n"
-               "              [--periods 3:8,inf] [--threads N] "
-               "[--round-threads N]\n"
-               "              [--format csv|json] [--max-rounds M] "
-               "[--seed S] [--no-cache]\n"
-               "              [--store PATH] [--resume] [--shard i/m]\n"
-               "              [--metrics PATH] [--progress] [--trace PATH] "
-               "[--perf]\n"
-               "      families: bf wbf-dir wbf db-dir db kautz-dir kautz "
-               "cycle complete hypercube ccc se knodel rr gnp\n"
-               "      (rr/gnp are seeded random members; --seed picks the "
-               "instance\n"
-               "       and is echoed in the output header)\n"
-               "      (default: the paper's seven, d=2, bound at s=3..8;\n"
-               "       --round-threads N>1 enables within-round parallel "
-               "merges\n"
-               "       on the process-wide pool — results are identical "
-               "for any N)\n"
+               "  sysgo sweep|solve|synth [grid flags] [command flags]\n"
+               "    grid flags (all three commands):\n"
+               "      --families f1,f2,..  bf wbf-dir wbf db-dir db kautz-dir "
+               "kautz cycle\n"
+               "                     complete hypercube ccc se knodel rr gnp\n"
+               "      --d LIST  --D LIST  (LIST: comma-separated values and "
+               "lo:hi ranges)\n"
+               "      --modes half,full  --threads N  --max-rounds M  "
+               "--format csv|json\n"
+               "      --seed S       seeds rr/gnp members and synthesis; "
+               "echoed in the output\n"
+               "                     header\n"
+               "      --no-cache     build each job's artifacts afresh (no "
+               "shared artifact cache)\n"
                "      --store PATH   write finished records to a persistent "
                "result store\n"
                "      --resume       skip records already in the store "
@@ -113,29 +110,30 @@ int usage() {
                "                     into --metrics rollups and --trace span "
                "args; no-op\n"
                "                     where counters are unavailable\n"
-               "  sysgo solve [--families f1,..] [--d 2] [--D lo:hi] "
-               "[--modes half,full]\n"
-               "              [--problems gossip,broadcast] [--threads N] "
+               "  sysgo sweep [grid flags] [--tasks bound,diameter,simulate,"
+               "audit,separator,\n"
+               "              solve-gossip,solve-broadcast] "
+               "[--periods 3:8,inf] [--round-threads N]\n"
+               "      parallel scenario sweep; d in 2..64, D in 1..30\n"
+               "      (default: the paper's seven, d=2, bound at s=3..8;\n"
+               "       --round-threads N>1 enables within-round parallel "
+               "merges\n"
+               "       on the process-wide pool — results are identical "
+               "for any N)\n"
+               "  sysgo solve [grid flags] [--problems gossip,broadcast] "
                "[--solver-threads N]\n"
-               "              [--max-rounds M] [--max-states S] [--format "
-               "csv|json] [--no-cache]\n"
-               "              [--store PATH] [--resume] [--shard i/m] "
-               "[--metrics PATH] [--progress]\n"
-               "              [--trace PATH] [--perf]\n"
-               "      exact optima via the symmetry-reduced search (n <= 12;\n"
-               "      default: cycle, D=4:9, both modes, both problems)\n"
-               "  sysgo synth [--families f1,..] [--d 2] [--D lo:hi] "
-               "[--modes half,full]\n"
-               "              [--restarts K] [--iterations N] "
+               "              [--max-states S]\n"
+               "      exact optima via the symmetry-reduced search (n <= 12); "
+               "d in 1..64,\n"
+               "      D in 1..30 (default: cycle, D=4:9, both modes, both "
+               "problems)\n"
+               "  sysgo synth [grid flags] [--restarts K] [--iterations N] "
                "[--time-budget MS]\n"
-               "              [--synth-threads N] [--threads N] [--seed S] "
-               "[--max-rounds M]\n"
-               "              [--format csv|json] [--no-cache]\n"
-               "              [--store PATH] [--resume] [--shard i/m] "
-               "[--metrics PATH] [--progress]\n"
-               "              [--trace PATH] [--perf]\n"
-               "      multi-start annealing schedule synthesis (src/synth/);\n"
-               "      default: db,kautz, d=2, D=3:5, half duplex\n"
+               "              [--synth-threads N]\n"
+               "      multi-start annealing schedule synthesis (src/synth/); "
+               "d in 1..64,\n"
+               "      D in 1..4096 (default: db,kautz, d=2, D=3:5, half "
+               "duplex)\n"
                "  sysgo store merge --out OUT IN1 [IN2 ...]\n"
                "      union shard stores into OUT; conflicting records for "
                "the same key\n"
@@ -201,13 +199,14 @@ long long flag_i64(const std::string& flag, const std::string& value) {
 }
 
 int cmd_bound(int argc, char** argv) {
-  if (argc < 1) return usage();
+  if (argc < 1 || argc > 2) return usage();
   const int s = std::strcmp(argv[0], "inf") == 0
                     ? sysgo::core::kUnboundedPeriod
                     : sysgo::util::parse_int_in(argv[0], "<s>", {3, 1 << 30});
-  const auto duplex = (argc >= 2 && std::strcmp(argv[1], "full") == 0)
-                          ? sysgo::core::Duplex::kFull
-                          : sysgo::core::Duplex::kHalf;
+  const bool full = argc == 2 && std::strcmp(argv[1], "full") == 0;
+  if (argc == 2 && !full && std::strcmp(argv[1], "half") != 0) return usage();
+  const auto duplex =
+      full ? sysgo::core::Duplex::kFull : sysgo::core::Duplex::kHalf;
   const double lam = sysgo::core::lambda_star(s, duplex);
   std::printf("s=%s duplex=%s lambda*=%.9f e(s)=%.6f\n", argv[0],
               duplex == sysgo::core::Duplex::kFull ? "full" : "half", lam,
@@ -216,7 +215,7 @@ int cmd_bound(int argc, char** argv) {
 }
 
 int cmd_table(int argc, char** argv) {
-  if (argc < 1) return usage();
+  if (argc != 1) return usage();
   const std::string which = argv[0];
   std::string csv;
   if (which == "fig4") csv = sysgo::io::fig4_csv();
@@ -246,8 +245,22 @@ std::vector<std::string> split_list(const std::string& arg) {
   return out;
 }
 
+/// Parse "a,b,lo:hi,.." into values in `range` ("inf" too when allow_inf).
+/// Both endpoints of a "lo:hi" token are range-checked, and lo <= hi
+/// required, before anything is expanded: a huge or reversed range fails
+/// at once instead of allocating first or yielding an empty grid.
 std::vector<int> parse_int_list(const std::string& arg, const std::string& flag,
-                                bool allow_inf) {
+                                sysgo::util::IntRange range,
+                                bool allow_inf = false) {
+  const auto checked = [&](const std::string& tok) {
+    const int v = sysgo::util::parse_int(tok, flag);
+    if (v < range.lo || v > range.hi)
+      throw std::invalid_argument(
+          flag + " values must be in [" + std::to_string(range.lo) + ", " +
+          std::to_string(range.hi) + "]" + (allow_inf ? " or inf" : "") +
+          ", got '" + tok + "'");
+    return v;
+  };
   std::vector<int> out;
   for (const std::string& tok : split_list(arg)) {
     if (allow_inf && tok == "inf") {
@@ -255,13 +268,16 @@ std::vector<int> parse_int_list(const std::string& arg, const std::string& flag,
       continue;
     }
     const std::size_t colon = tok.find(':');
-    if (colon != std::string::npos) {
-      const int lo = sysgo::util::parse_int(tok.substr(0, colon), flag);
-      const int hi = sysgo::util::parse_int(tok.substr(colon + 1), flag);
-      for (int v = lo; v <= hi; ++v) out.push_back(v);
-    } else {
-      out.push_back(sysgo::util::parse_int(tok, flag));
+    if (colon == std::string::npos) {
+      out.push_back(checked(tok));
+      continue;
     }
+    const int lo = checked(tok.substr(0, colon));
+    const int hi = checked(tok.substr(colon + 1));
+    if (lo > hi)
+      throw std::invalid_argument(flag + ": empty range '" + tok + "'");
+    // A long long counter: hi may be INT_MAX.
+    for (long long v = lo; v <= hi; ++v) out.push_back(static_cast<int>(v));
   }
   return out;
 }
@@ -467,96 +483,252 @@ int stream_spec(const sysgo::engine::ScenarioSpec& spec,
   return 0;
 }
 
-int cmd_sweep(int argc, char** argv) {
-  namespace engine = sysgo::engine;
-  if (argc >= 1 && (std::strcmp(argv[0], "fig5") == 0 ||
-                    std::strcmp(argv[0], "fig6") == 0)) {
-    engine::SweepRunner runner;
-    const std::string csv = std::strcmp(argv[0], "fig5") == 0
-                                ? engine::fig5_csv(runner)
-                                : engine::fig6_csv(runner);
-    std::fputs(csv.c_str(), stdout);
-    return 0;
-  }
+// ----------------------------------------------------------- grid commands
+//
+// sweep, solve and synth are one command with three descriptors: each
+// parses its flags through kGridFlags and hands the grid to stream_spec.
 
+namespace engine = sysgo::engine;
+using engine::Task;
+
+/// What differs between the grid commands.
+struct GridCommand {
+  const char* name;  // "sweep" | "solve" | "synth"
+  unsigned bit;      // this command's bit in GridFlag::commands
+  engine::ScenarioSpec defaults;
+  sysgo::util::IntRange degrees;     // --d
+  sysgo::util::IntRange dimensions;  // --D
+  int engine::ExecutionLimits::*max_rounds;  // --max-rounds target
+};
+
+constexpr unsigned kSweep = 1;
+constexpr unsigned kSolve = 2;
+constexpr unsigned kSynth = 4;
+constexpr unsigned kAllGrid = kSweep | kSolve | kSynth;
+
+/// The state one grid command line builds.
+struct GridArgs {
+  const GridCommand& cmd;
   engine::ScenarioSpec spec;
-  spec.families = engine::all_families();
-  spec.degrees = {2};
-  spec.periods = {3, 4, 5, 6, 7, 8};
-  spec.tasks = {engine::Task::kBound};
   engine::SweepOptions opts;
   StreamConfig cfg;
+};
+
+/// One flag occurrence: its name and value ("" for flags without one).
+struct Arg {
+  const std::string& flag;
+  const std::string& value;
+};
+
+/// One grid flag: the commands accepting it and how it applies.
+struct GridFlag {
+  const char* name;
+  unsigned commands;
+  bool takes_value;
+  void (*apply)(GridArgs& a, const Arg& x);
+};
+
+/// Map each token of a comma-separated list through `parse`.
+template <typename Parse>
+auto parse_tokens(const std::string& arg, Parse parse) {
+  std::vector<decltype(parse(arg))> out;
+  for (const std::string& tok : split_list(arg)) out.push_back(parse(tok));
+  return out;
+}
+
+Task parse_problem(const std::string& tok) {
+  if (tok == "gossip") return Task::kSolveGossip;
+  if (tok == "broadcast") return Task::kSolveBroadcast;
+  throw std::invalid_argument("unknown problem: " + tok);
+}
+
+constexpr GridFlag kGridFlags[] = {
+    {"--families", kAllGrid, true,
+     [](GridArgs& a, const Arg& x) {
+       a.spec.families = parse_tokens(x.value, engine::parse_family_token);
+     }},
+    {"--d", kAllGrid, true,
+     [](GridArgs& a, const Arg& x) {
+       a.spec.degrees = parse_int_list(x.value, x.flag, a.cmd.degrees);
+     }},
+    {"--D", kAllGrid, true,
+     [](GridArgs& a, const Arg& x) {
+       a.spec.dimensions = parse_int_list(x.value, x.flag, a.cmd.dimensions);
+     }},
+    {"--modes", kAllGrid, true,
+     [](GridArgs& a, const Arg& x) {
+       a.spec.modes = parse_tokens(x.value, engine::parse_mode_name);
+     }},
+    {"--threads", kAllGrid, true,
+     [](GridArgs& a, const Arg& x) {
+       a.opts.threads = static_cast<unsigned>(flag_int(x.flag, x.value));
+     }},
+    {"--max-rounds", kAllGrid, true,
+     [](GridArgs& a, const Arg& x) {
+       a.spec.limits.*a.cmd.max_rounds = flag_int(x.flag, x.value);
+     }},
+    {"--seed", kAllGrid, true,
+     [](GridArgs& a, const Arg& x) {
+       a.spec.limits.seed = sysgo::util::parse_u64(x.value, x.flag);
+     }},
+    {"--format", kAllGrid, true,
+     [](GridArgs& a, const Arg& x) {
+       if (x.value == "json") a.cfg.json = true;
+       else if (x.value != "csv")
+         throw std::invalid_argument("unknown format: " + x.value);
+     }},
+    {"--no-cache", kAllGrid, false,
+     [](GridArgs& a, const Arg&) { a.opts.use_cache = false; }},
+    {"--store", kAllGrid, true,
+     [](GridArgs& a, const Arg& x) { a.cfg.store_path = x.value; }},
+    {"--resume", kAllGrid, false,
+     [](GridArgs& a, const Arg&) { a.cfg.resume = true; }},
+    {"--shard", kAllGrid, true,
+     [](GridArgs& a, const Arg& x) {
+       a.cfg.shard = sysgo::util::parse_shard(x.value);
+     }},
+    {"--metrics", kAllGrid, true,
+     [](GridArgs& a, const Arg& x) { a.cfg.metrics_path = x.value; }},
+    {"--progress", kAllGrid, false,
+     [](GridArgs& a, const Arg&) { a.cfg.progress = true; }},
+    {"--trace", kAllGrid, true,
+     [](GridArgs& a, const Arg& x) { a.cfg.trace_path = x.value; }},
+    {"--perf", kAllGrid, false,
+     [](GridArgs& a, const Arg&) { a.cfg.perf = true; }},
+    // sweep only.
+    {"--tasks", kSweep, true,
+     [](GridArgs& a, const Arg& x) {
+       a.spec.tasks = parse_tokens(x.value, engine::parse_task_name);
+     }},
+    {"--periods", kSweep, true,
+     [](GridArgs& a, const Arg& x) {
+       a.spec.periods =
+           parse_int_list(x.value, x.flag, {3, std::numeric_limits<int>::max()},
+                          /*allow_inf=*/true);
+     }},
+    // A toggle, not a degree: any N > 1 turns on the simulator's
+    // within-round parallel merges, which run on the process-wide pool at
+    // its lane count (results are identical for any value; see
+    // ExecutionLimits::simulate_parallel_rounds).
+    {"--round-threads", kSweep, true,
+     [](GridArgs& a, const Arg& x) {
+       a.spec.limits.simulate_parallel_rounds = flag_int(x.flag, x.value) > 1;
+     }},
+    // solve only.
+    {"--problems", kSolve, true,
+     [](GridArgs& a, const Arg& x) {
+       a.spec.tasks = parse_tokens(x.value, parse_problem);
+     }},
+    {"--solver-threads", kSolve, true,
+     [](GridArgs& a, const Arg& x) {
+       a.spec.limits.solve_threads =
+           static_cast<unsigned>(flag_int(x.flag, x.value));
+     }},
+    {"--max-states", kSolve, true,
+     [](GridArgs& a, const Arg& x) {
+       a.spec.limits.solve_max_states =
+           static_cast<std::size_t>(flag_i64(x.flag, x.value));
+     }},
+    // synth only.
+    {"--restarts", kSynth, true,
+     [](GridArgs& a, const Arg& x) {
+       a.spec.limits.synth_restarts = flag_int(x.flag, x.value);
+     }},
+    {"--iterations", kSynth, true,
+     [](GridArgs& a, const Arg& x) {
+       a.spec.limits.synth_iterations = flag_int(x.flag, x.value);
+     }},
+    {"--time-budget", kSynth, true,
+     [](GridArgs& a, const Arg& x) {
+       const double ms = sysgo::util::parse_double(x.value, x.flag);
+       if (!std::isfinite(ms) || ms < 0.0)
+         throw std::invalid_argument(x.flag + " must be finite and >= 0");
+       a.spec.limits.synth_time_budget_ms = ms;
+     }},
+    {"--synth-threads", kSynth, true,
+     [](GridArgs& a, const Arg& x) {
+       a.spec.limits.synth_threads =
+           static_cast<unsigned>(flag_int(x.flag, x.value));
+     }},
+};
+
+/// A command's default grid; every grid command defaults to d = 2.
+engine::ScenarioSpec grid_defaults(
+    std::vector<sysgo::topology::Family> families, std::vector<int> dimensions,
+    std::vector<sysgo::protocol::Mode> modes, std::vector<Task> tasks,
+    std::vector<int> periods = {}) {
+  engine::ScenarioSpec spec;
+  spec.families = std::move(families);
+  spec.degrees = {2};
+  spec.dimensions = std::move(dimensions);
+  spec.modes = std::move(modes);
+  spec.tasks = std::move(tasks);
+  spec.periods = std::move(periods);
+  return spec;
+}
+
+/// The descriptor of grid command `name`, or nullptr.
+const GridCommand* find_grid_command(const std::string& name) {
+  using sysgo::protocol::Mode;
+  using sysgo::topology::Family;
+  static const GridCommand kCommands[] = {
+      // d >= 2: d = 1 reaches a bound cell that throws and aborts the sweep.
+      {"sweep", kSweep,
+       grid_defaults(engine::all_families(), {}, {Mode::kHalfDuplex},
+                     {Task::kBound}, {3, 4, 5, 6, 7, 8}),
+       {2, 64}, {1, 30}, &engine::ExecutionLimits::simulate_max_rounds},
+      // d = 1 is a valid Knödel delta.
+      {"solve", kSolve,
+       grid_defaults({Family::kCycle}, {4, 5, 6, 7, 8, 9},
+                     {Mode::kHalfDuplex, Mode::kFullDuplex},
+                     {Task::kSolveGossip, Task::kSolveBroadcast}),
+       {1, 64}, {1, 30}, &engine::ExecutionLimits::solve_max_rounds},
+      // D up to 4096: for the linear-n families (rr, gnp) D *is* n; the
+      // exponential families are still guarded by their topology builders
+      // (hypercube D <= 24).
+      {"synth", kSynth,
+       grid_defaults({Family::kDeBruijn, Family::kKautz}, {3, 4, 5},
+                     {Mode::kHalfDuplex}, {Task::kSynthesize}),
+       {1, 64}, {1, 4096}, &engine::ExecutionLimits::simulate_max_rounds},
+  };
+  for (const GridCommand& c : kCommands)
+    if (name == c.name) return &c;
+  return nullptr;
+}
+
+/// `sysgo sweep fig5|fig6`: the engine-reproduced paper tables.
+int cmd_sweep_figure(int argc, char** argv) {
+  if (argc != 1) return usage();
+  engine::SweepRunner runner;
+  const std::string csv = std::strcmp(argv[0], "fig5") == 0
+                              ? engine::fig5_csv(runner)
+                              : engine::fig6_csv(runner);
+  std::fputs(csv.c_str(), stdout);
+  return 0;
+}
+
+int cmd_grid(const GridCommand& cmd, int argc, char** argv) {
+  if (cmd.bit == kSweep && argc >= 1 &&
+      (std::strcmp(argv[0], "fig5") == 0 || std::strcmp(argv[0], "fig6") == 0))
+    return cmd_sweep_figure(argc, argv);
+  GridArgs a{cmd, cmd.defaults, {}, {}};
   for (int i = 0; i < argc; ++i) {
     const std::string flag = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc)
-        throw std::invalid_argument("missing value for " + flag);
-      return argv[++i];
-    };
-    try {
-    if (flag == "--families") {
-      spec.families.clear();
-      for (const auto& tok : split_list(value()))
-        spec.families.push_back(engine::parse_family_token(tok));
-    } else if (flag == "--d") {
-      spec.degrees = parse_int_list(value(), flag, false);
-      for (int d : spec.degrees)
-        if (d < 2 || d > 64)
-          throw std::invalid_argument("--d values must be in [2, 64]");
-    } else if (flag == "--D") {
-      spec.dimensions = parse_int_list(value(), flag, false);
-      for (int D : spec.dimensions)
-        if (D < 1 || D > 30)
-          throw std::invalid_argument("--D values must be in [1, 30]");
-    } else if (flag == "--modes") {
-      spec.modes.clear();
-      for (const auto& tok : split_list(value()))
-        spec.modes.push_back(engine::parse_mode_name(tok));
-    } else if (flag == "--tasks") {
-      spec.tasks.clear();
-      for (const auto& tok : split_list(value()))
-        spec.tasks.push_back(engine::parse_task_name(tok));
-    } else if (flag == "--periods") {
-      spec.periods = parse_int_list(value(), flag, true);
-      for (int s : spec.periods)
-        if (s != sysgo::core::kUnboundedPeriod && s < 3)
-          throw std::invalid_argument("--periods values must be >= 3 or inf");
-    } else if (flag == "--threads") {
-      opts.threads = static_cast<unsigned>(flag_int(flag, value()));
-    } else if (flag == "--round-threads") {
-      // A toggle, not a degree: any N > 1 turns on the simulator's
-      // within-round parallel merges, which run on the process-wide pool
-      // at its lane count (results are identical for any value; see
-      // ExecutionLimits::simulate_parallel_rounds).
-      spec.limits.simulate_parallel_rounds = flag_int(flag, value()) > 1;
-    } else if (flag == "--max-rounds") {
-      spec.limits.simulate_max_rounds = flag_int(flag, value());
-    } else if (flag == "--format") {
-      const std::string fmt = value();
-      if (fmt == "json") cfg.json = true;
-      else if (fmt != "csv") throw std::invalid_argument("unknown format: " + fmt);
-    } else if (flag == "--seed") {
-      spec.limits.seed = sysgo::util::parse_u64(value(), flag);
-    } else if (flag == "--no-cache") {
-      opts.use_cache = false;
-    } else if (flag == "--store") {
-      cfg.store_path = value();
-    } else if (flag == "--resume") {
-      cfg.resume = true;
-    } else if (flag == "--shard") {
-      cfg.shard = sysgo::util::parse_shard(value());
-    } else if (flag == "--metrics") {
-      cfg.metrics_path = value();
-    } else if (flag == "--progress") {
-      cfg.progress = true;
-    } else if (flag == "--trace") {
-      cfg.trace_path = value();
-    } else if (flag == "--perf") {
-      cfg.perf = true;
-    } else {
-      std::fprintf(stderr, "unknown sweep flag: %s\n", flag.c_str());
+    const GridFlag* row = nullptr;
+    for (const GridFlag& f : kGridFlags)
+      if (flag == f.name && (f.commands & cmd.bit) != 0) {
+        row = &f;
+        break;
+      }
+    if (row == nullptr) {
+      std::fprintf(stderr, "unknown %s flag: %s\n", cmd.name, flag.c_str());
       return usage();
     }
+    if (row->takes_value && i + 1 >= argc)
+      throw std::invalid_argument("missing value for " + flag);
+    const std::string value = row->takes_value ? argv[++i] : "";
+    try {
+      row->apply(a, {flag, value});
     } catch (const std::invalid_argument& e) {
       // The checked parsers name the flag already; wrap only messages that
       // do not, so every error reports the offending flag.
@@ -566,205 +738,13 @@ int cmd_sweep(int argc, char** argv) {
       throw;
     }
   }
-
-  if (spec.dimensions.empty()) {
-    for (engine::Task t : spec.tasks)
+  if (a.spec.dimensions.empty()) {
+    for (const Task t : a.spec.tasks)
       if (engine::task_needs_dimension(t))
         throw std::invalid_argument("task '" + engine::task_name(t) +
                                     "' needs concrete dimensions: pass --D");
   }
-
-  return stream_spec(spec, opts, cfg);
-}
-
-int cmd_solve(int argc, char** argv) {
-  namespace engine = sysgo::engine;
-  engine::ScenarioSpec spec;
-  spec.families = {sysgo::topology::Family::kCycle};
-  spec.degrees = {2};
-  spec.dimensions = {4, 5, 6, 7, 8, 9};
-  spec.modes = {sysgo::protocol::Mode::kHalfDuplex,
-                sysgo::protocol::Mode::kFullDuplex};
-  spec.tasks = {engine::Task::kSolveGossip, engine::Task::kSolveBroadcast};
-  engine::SweepOptions opts;
-  StreamConfig cfg;
-  for (int i = 0; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc)
-        throw std::invalid_argument("missing value for " + flag);
-      return argv[++i];
-    };
-    try {
-      if (flag == "--families") {
-        spec.families.clear();
-        for (const auto& tok : split_list(value()))
-          spec.families.push_back(engine::parse_family_token(tok));
-      } else if (flag == "--d") {
-        spec.degrees = parse_int_list(value(), flag, false);
-        for (int d : spec.degrees)
-          if (d < 1 || d > 64)  // d = 1 is a valid Knödel delta
-            throw std::invalid_argument("--d values must be in [1, 64]");
-      } else if (flag == "--D") {
-        spec.dimensions = parse_int_list(value(), flag, false);
-        for (int D : spec.dimensions)
-          if (D < 1 || D > 30)
-            throw std::invalid_argument("--D values must be in [1, 30]");
-      } else if (flag == "--modes") {
-        spec.modes.clear();
-        for (const auto& tok : split_list(value()))
-          spec.modes.push_back(engine::parse_mode_name(tok));
-      } else if (flag == "--problems") {
-        spec.tasks.clear();
-        for (const auto& tok : split_list(value())) {
-          if (tok == "gossip") spec.tasks.push_back(engine::Task::kSolveGossip);
-          else if (tok == "broadcast")
-            spec.tasks.push_back(engine::Task::kSolveBroadcast);
-          else throw std::invalid_argument("unknown problem: " + tok);
-        }
-      } else if (flag == "--threads") {
-        opts.threads = static_cast<unsigned>(flag_int(flag, value()));
-      } else if (flag == "--solver-threads") {
-        spec.limits.solve_threads =
-            static_cast<unsigned>(flag_int(flag, value()));
-      } else if (flag == "--max-rounds") {
-        spec.limits.solve_max_rounds = flag_int(flag, value());
-      } else if (flag == "--max-states") {
-        spec.limits.solve_max_states =
-            static_cast<std::size_t>(flag_i64(flag, value()));
-      } else if (flag == "--format") {
-        const std::string fmt = value();
-        if (fmt == "json") cfg.json = true;
-        else if (fmt != "csv")
-          throw std::invalid_argument("unknown format: " + fmt);
-      } else if (flag == "--seed") {
-        spec.limits.seed = sysgo::util::parse_u64(value(), flag);
-      } else if (flag == "--no-cache") {
-        opts.use_cache = false;
-      } else if (flag == "--store") {
-        cfg.store_path = value();
-      } else if (flag == "--resume") {
-        cfg.resume = true;
-      } else if (flag == "--shard") {
-        cfg.shard = sysgo::util::parse_shard(value());
-      } else if (flag == "--metrics") {
-        cfg.metrics_path = value();
-      } else if (flag == "--progress") {
-        cfg.progress = true;
-      } else if (flag == "--trace") {
-        cfg.trace_path = value();
-      } else if (flag == "--perf") {
-        cfg.perf = true;
-      } else {
-        std::fprintf(stderr, "unknown solve flag: %s\n", flag.c_str());
-        return usage();
-      }
-    } catch (const std::invalid_argument& e) {
-      const std::string what = e.what();
-      if (what.find(flag) == std::string::npos)
-        throw std::invalid_argument("bad value for " + flag + ": " + what);
-      throw;
-    }
-  }
-  if (spec.dimensions.empty())
-    throw std::invalid_argument("solve needs concrete dimensions: pass --D");
-
-  return stream_spec(spec, opts, cfg);
-}
-
-int cmd_synth(int argc, char** argv) {
-  namespace engine = sysgo::engine;
-  engine::ScenarioSpec spec;
-  spec.families = {sysgo::topology::Family::kDeBruijn,
-                   sysgo::topology::Family::kKautz};
-  spec.degrees = {2};
-  spec.dimensions = {3, 4, 5};
-  spec.tasks = {engine::Task::kSynthesize};
-  engine::SweepOptions opts;
-  StreamConfig cfg;
-  for (int i = 0; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc)
-        throw std::invalid_argument("missing value for " + flag);
-      return argv[++i];
-    };
-    try {
-      if (flag == "--families") {
-        spec.families.clear();
-        for (const auto& tok : split_list(value()))
-          spec.families.push_back(engine::parse_family_token(tok));
-      } else if (flag == "--d") {
-        spec.degrees = parse_int_list(value(), flag, false);
-        for (int d : spec.degrees)
-          if (d < 1 || d > 64)
-            throw std::invalid_argument("--d values must be in [1, 64]");
-      } else if (flag == "--D") {
-        // Wider than the sweep commands' cap of 30: for the linear-n
-        // families (rr, gnp) D *is* n.  Exponential families are still
-        // guarded by their topology builders (hypercube D <= 24).
-        spec.dimensions = parse_int_list(value(), flag, false);
-        for (int D : spec.dimensions)
-          if (D < 1 || D > 4096)
-            throw std::invalid_argument("--D values must be in [1, 4096]");
-      } else if (flag == "--modes") {
-        spec.modes.clear();
-        for (const auto& tok : split_list(value()))
-          spec.modes.push_back(engine::parse_mode_name(tok));
-      } else if (flag == "--restarts") {
-        spec.limits.synth_restarts = flag_int(flag, value());
-      } else if (flag == "--iterations") {
-        spec.limits.synth_iterations = flag_int(flag, value());
-      } else if (flag == "--time-budget") {
-        spec.limits.synth_time_budget_ms =
-            sysgo::util::parse_double(value(), flag);
-        if (spec.limits.synth_time_budget_ms < 0.0)
-          throw std::invalid_argument("--time-budget must be >= 0");
-      } else if (flag == "--synth-threads") {
-        spec.limits.synth_threads =
-            static_cast<unsigned>(flag_int(flag, value()));
-      } else if (flag == "--threads") {
-        opts.threads = static_cast<unsigned>(flag_int(flag, value()));
-      } else if (flag == "--max-rounds") {
-        spec.limits.simulate_max_rounds = flag_int(flag, value());
-      } else if (flag == "--seed") {
-        spec.limits.seed = sysgo::util::parse_u64(value(), flag);
-      } else if (flag == "--format") {
-        const std::string fmt = value();
-        if (fmt == "json") cfg.json = true;
-        else if (fmt != "csv")
-          throw std::invalid_argument("unknown format: " + fmt);
-      } else if (flag == "--no-cache") {
-        opts.use_cache = false;
-      } else if (flag == "--store") {
-        cfg.store_path = value();
-      } else if (flag == "--resume") {
-        cfg.resume = true;
-      } else if (flag == "--shard") {
-        cfg.shard = sysgo::util::parse_shard(value());
-      } else if (flag == "--metrics") {
-        cfg.metrics_path = value();
-      } else if (flag == "--progress") {
-        cfg.progress = true;
-      } else if (flag == "--trace") {
-        cfg.trace_path = value();
-      } else if (flag == "--perf") {
-        cfg.perf = true;
-      } else {
-        std::fprintf(stderr, "unknown synth flag: %s\n", flag.c_str());
-        return usage();
-      }
-    } catch (const std::invalid_argument& e) {
-      const std::string what = e.what();
-      if (what.find(flag) == std::string::npos)
-        throw std::invalid_argument("bad value for " + flag + ": " + what);
-      throw;
-    }
-  }
-  if (spec.dimensions.empty())
-    throw std::invalid_argument("synth needs concrete dimensions: pass --D");
-
-  return stream_spec(spec, opts, cfg);
+  return stream_spec(a.spec, a.opts, a.cfg);
 }
 
 // --------------------------------------------------------------- store
@@ -833,7 +813,7 @@ int cmd_store(int argc, char** argv) {
 }
 
 int cmd_audit(int argc, char** argv) {
-  if (argc < 1) return usage();
+  if (argc != 1) return usage();
   const auto sched = sysgo::io::parse_schedule(read_file(argv[0]));
   const auto valid = sysgo::protocol::validate_structure(sched);
   if (!valid.ok) {
@@ -849,7 +829,7 @@ int cmd_audit(int argc, char** argv) {
 }
 
 int cmd_simulate(int argc, char** argv) {
-  if (argc < 1) return usage();
+  if (argc < 1 || argc > 2) return usage();
   const auto sched = sysgo::io::parse_schedule(read_file(argv[0]));
   const int max_rounds =
       argc >= 2
@@ -928,8 +908,8 @@ int cmd_bench(int argc, char** argv) {
       if (i + 1 >= argc)
         throw std::invalid_argument("missing value for --threshold");
       opts.threshold_pct = sysgo::util::parse_double(argv[++i], flag);
-      if (opts.threshold_pct <= 0.0)
-        throw std::invalid_argument("--threshold must be > 0");
+      if (!std::isfinite(opts.threshold_pct) || opts.threshold_pct <= 0.0)
+        throw std::invalid_argument("--threshold must be finite and > 0");
     } else if (flag == "--counters") {
       opts.counters = true;
     } else if (flag == "--allow-context-mismatch") {
@@ -989,7 +969,7 @@ int cmd_kernels(int argc, char** argv) {
                                 " (expected scalar, avx2, or avx512)");
   };
   if (argc >= 1 && std::strcmp(argv[0], "--have") == 0) {
-    if (argc < 2) return usage();
+    if (argc != 2) return usage();
     // Quiet gate for scripting: exit 0 iff the kernel can actually run
     // here (compiled in AND the CPU has the ISA).
     return sysgo::simulator::kernel_supported(parse_kind(argv[1])) ? 0 : 1;
@@ -1008,7 +988,7 @@ int cmd_kernels(int argc, char** argv) {
 }
 
 int cmd_topology(int argc, char** argv) {
-  if (argc < 3) return usage();
+  if (argc != 3) return usage();
   const int d = sysgo::util::parse_int_in(argv[1], "<d>", {1, 1 << 20});
   const int D = sysgo::util::parse_int_in(argv[2], "<D>", {1, 1 << 20});
   sysgo::topology::Family f;
@@ -1030,9 +1010,8 @@ int main(int argc, char** argv) {
   try {
     if (cmd == "bound") return cmd_bound(argc - 2, argv + 2);
     if (cmd == "table") return cmd_table(argc - 2, argv + 2);
-    if (cmd == "sweep") return cmd_sweep(argc - 2, argv + 2);
-    if (cmd == "solve") return cmd_solve(argc - 2, argv + 2);
-    if (cmd == "synth") return cmd_synth(argc - 2, argv + 2);
+    if (const GridCommand* grid = find_grid_command(cmd))
+      return cmd_grid(*grid, argc - 2, argv + 2);
     if (cmd == "store") return cmd_store(argc - 2, argv + 2);
     if (cmd == "audit") return cmd_audit(argc - 2, argv + 2);
     if (cmd == "simulate") return cmd_simulate(argc - 2, argv + 2);
