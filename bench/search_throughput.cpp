@@ -80,7 +80,8 @@ BENCHMARK(BM_SolveStatesPerSecond)
     ->Name("search/cycle_half_duplex_bfs")
     ->ArgsProduct({{5, 6, 7}, {0, 1}})
     ->ArgNames({"n", "sym"})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_SolveParallelBfs(benchmark::State& state) {
   const auto g = sysgo::topology::cycle(7);
@@ -101,7 +102,8 @@ BENCHMARK(BM_SolveParallelBfs)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_IterativeDeepening(benchmark::State& state) {
   const auto g = sysgo::topology::cycle(static_cast<int>(state.range(0)));

@@ -10,10 +10,13 @@
 //   compiled  gossip_time(CompiledSchedule)   flat CSR spans + role gather
 //
 // plus the one-off compile cost, so the break-even point (a handful of
-// simulated rounds) is visible.  On top of that, the SIMD arms: per-row-
-// kernel gossip (simulate/kernel/<scalar|avx2|avx512>/..., rows/s) and
-// arena-backed gossip (simulate/arena/...).  Run: build with
-// -DSYSGO_BENCH=ON and `./bench_simulate_throughput`.
+// simulated rounds) is visible.  The compiled path is the slice-major
+// engine (simulator/batch.hpp).  On top of that: per-kernel gossip
+// (simulate/kernel/<scalar|avx2|avx512>/..., rows/s) on the members with
+// n > 256, the only ones whose 64-byte slices run the kernel table's
+// slice step, and arena-backed gossip (simulate/arena/...).  Rates are per
+// wall second.  Run: build with -DSYSGO_BENCH=ON and
+// `./bench_simulate_throughput`.
 #include <benchmark/benchmark.h>
 
 #include "bench_json.hpp"
@@ -130,10 +133,11 @@ void BM_AuditCompiled(benchmark::State& state, const Member& m) {
   }
 }
 
-// Per-kernel gossip: the same compiled run under each supported row kernel
-// (ScopedKernel forces the dispatch), with a rows/s counter — row merges
-// executed per wall second, the kernel layer's native unit.  A run to
-// completion in t rounds walks ~t/period of the period's arc list.
+// Per-kernel gossip: the same compiled run under each supported kernel
+// (ScopedKernel forces the dispatch), with a rows/s counter — the run's
+// link merges (one whole-row union each in the row-major model) per wall
+// second.  A run to completion in t rounds walks ~t/period of the period's
+// arc list.
 void BM_SimulateKernel(benchmark::State& state, const Member& m,
                        sysgo::simulator::KernelKind kind) {
   const sysgo::simulator::ScopedKernel scoped(kind);
@@ -168,10 +172,12 @@ const bool kRegistered = [] {
   for (const Member& m : corpus()) {
     benchmark::RegisterBenchmark(("simulate/legacy/" + m.name).c_str(),
                                  BM_SimulateLegacy, m)
-        ->Unit(benchmark::kMicrosecond);
+        ->Unit(benchmark::kMicrosecond)
+        ->UseRealTime();
     benchmark::RegisterBenchmark(("simulate/compiled/" + m.name).c_str(),
                                  BM_SimulateCompiled, m)
-        ->Unit(benchmark::kMicrosecond);
+        ->Unit(benchmark::kMicrosecond)
+        ->UseRealTime();
     benchmark::RegisterBenchmark(("compile/" + m.name).c_str(), BM_Compile, m)
         ->Unit(benchmark::kMicrosecond);
     benchmark::RegisterBenchmark(("audit/recompile-per-call/" + m.name).c_str(),
@@ -182,17 +188,20 @@ const bool kRegistered = [] {
         ->Unit(benchmark::kMicrosecond);
     for (int k = 0; k < sysgo::simulator::kKernelKindCount; ++k) {
       const auto kind = static_cast<KernelKind>(k);
-      if (!sysgo::simulator::kernel_supported(kind)) continue;
+      if (m.schedule.n <= 256 || !sysgo::simulator::kernel_supported(kind))
+        continue;
       benchmark::RegisterBenchmark(
           ("simulate/kernel/" + std::string(sysgo::simulator::kernel_name(kind)) +
            "/" + m.name)
               .c_str(),
           BM_SimulateKernel, m, kind)
-          ->Unit(benchmark::kMicrosecond);
+          ->Unit(benchmark::kMicrosecond)
+          ->UseRealTime();
     }
     benchmark::RegisterBenchmark(("simulate/arena/" + m.name).c_str(),
                                  BM_SimulateArena, m)
-        ->Unit(benchmark::kMicrosecond);
+        ->Unit(benchmark::kMicrosecond)
+        ->UseRealTime();
   }
   benchmark::RegisterBenchmark(
       ("audit/compiled/" + large_audit_member().name).c_str(), BM_AuditCompiled,

@@ -2,9 +2,7 @@
 // trajectories (coloring baseline → short budget → long budget) over the
 // fig5/fig6 corpus families.
 //
-// The perf-PR arms:
-//   synth/kernel/<scalar|avx2|avx512>/...  whole synthesize runs under each
-//                                          row kernel (moves/s)
+// Rates (moves/s) are per wall second.  The evaluation arms:
 //   eval-per-move/compiled/...             one objective evaluation per move
 //                                          through compile-then-evaluate —
 //                                          the annealer's old hot path
@@ -23,7 +21,6 @@
 #include "protocol/builders.hpp"
 #include "protocol/compiled.hpp"
 #include "simulator/gossip_sim.hpp"
-#include "simulator/kernels.hpp"
 #include "synth/draft.hpp"
 #include "synth/objective.hpp"
 #include "synth/synthesizer.hpp"
@@ -102,7 +99,8 @@ void BM_SynthMovesPerSecond(benchmark::State& state) {
 BENCHMARK(BM_SynthMovesPerSecond)
     ->Name("synth/de_bruijn_half_duplex")
     ->DenseRange(3, 5, 1)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_SynthParallelRestarts(benchmark::State& state) {
   const auto g = sysgo::topology::make_family(
@@ -125,7 +123,8 @@ BENCHMARK(BM_SynthParallelRestarts)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 struct EvalMember {
   sysgo::topology::Family family;
@@ -139,24 +138,6 @@ const std::vector<EvalMember>& eval_corpus() {
       {sysgo::topology::Family::kKautz, 2, 4},
   };
   return kCorpus;
-}
-
-void BM_SynthKernel(benchmark::State& state, EvalMember m,
-                    sysgo::simulator::KernelKind kind) {
-  const sysgo::simulator::ScopedKernel scoped(kind);
-  const auto g = sysgo::topology::make_family(m.family, m.d, m.D);
-  SynthOptions opts;
-  opts.restarts = 2;
-  opts.iterations = 1000;
-  opts.threads = 1;
-  std::int64_t moves = 0;
-  for (auto _ : state) {
-    const auto res = sysgo::synth::synthesize(g, opts);
-    moves += res.moves_proposed;
-    benchmark::DoNotOptimize(res);
-  }
-  state.counters["moves/s"] = benchmark::Counter(
-      static_cast<double>(moves), benchmark::Counter::kIsRate);
 }
 
 // One objective evaluation per annealing move, old path vs new: compiled
@@ -197,22 +178,14 @@ const bool kPerfArmsRegistered = [] {
   for (const EvalMember& m : eval_corpus()) {
     const std::string tag = sysgo::topology::family_name(m.family, m.d) +
                             "_D" + std::to_string(m.D);
-    for (int k = 0; k < sysgo::simulator::kKernelKindCount; ++k) {
-      const auto kind = static_cast<sysgo::simulator::KernelKind>(k);
-      if (!sysgo::simulator::kernel_supported(kind)) continue;
-      benchmark::RegisterBenchmark(
-          ("synth/kernel/" +
-           std::string(sysgo::simulator::kernel_name(kind)) + "/" + tag)
-              .c_str(),
-          BM_SynthKernel, m, kind)
-          ->Unit(benchmark::kMillisecond);
-    }
     benchmark::RegisterBenchmark(("eval-per-move/compiled/" + tag).c_str(),
                                  BM_EvalPerMoveCompiled, m)
-        ->Unit(benchmark::kMicrosecond);
+        ->Unit(benchmark::kMicrosecond)
+        ->UseRealTime();
     benchmark::RegisterBenchmark(("eval-per-move/draft/" + tag).c_str(),
                                  BM_EvalPerMoveDraft, m)
-        ->Unit(benchmark::kMicrosecond);
+        ->Unit(benchmark::kMicrosecond)
+        ->UseRealTime();
   }
   return true;
 }();

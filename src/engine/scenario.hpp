@@ -69,10 +69,10 @@ struct SweepJob {
 /// Per-task execution limits shared by every job of a run.  solve_threads
 /// is the INNER solver parallelism (jobs already run concurrently on the
 /// runner's pool; solver results are thread-count independent either way).
-/// simulate_parallel_rounds turns on the simulator's within-round parallel
-/// merges (GossipOptions::parallel) — a toggle, not a degree: the merges
-/// run on the process-wide pool at its lane count, and results are
-/// identical either way.
+/// simulate_parallel_rounds runs the simulator's column slices in parallel
+/// (GossipOptions::parallel) — a toggle, not a degree: the slices run on
+/// the process-wide pool at its lane count, and results are identical
+/// either way.
 struct ExecutionLimits {
   int simulate_max_rounds = 1 << 20;
   bool simulate_parallel_rounds = false;

@@ -230,7 +230,7 @@ SweepRecord SweepRunner::run_job_impl(const SweepJob& job,
       r.s = art->compiled.period_length();
       simulator::GossipOptions gopts;
       gopts.parallel = limits.simulate_parallel_rounds;
-      // One scratch matrix per worker thread for the whole sweep — simulate
+      // One slice scratch per worker thread for the whole sweep — simulate
       // jobs over a size band stop paying an allocation each.  Results are
       // identical to the per-call gossip_time (same code path underneath).
       thread_local simulator::GossipArena arena;

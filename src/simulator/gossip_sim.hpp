@@ -17,7 +17,9 @@
 namespace sysgo::simulator {
 
 struct GossipOptions {
-  bool parallel = false;       // multithread merges within a round
+  /// Compiled gossip_time: run column slices on the process pool.  The
+  /// KnowledgeMatrix paths: multithread the merges within a round.
+  bool parallel = false;
   bool track_completion = false;  // record per-vertex completion rounds
 };
 
@@ -60,8 +62,9 @@ void apply_round(KnowledgeMatrix& know, const protocol::CompiledSchedule& cs,
 [[nodiscard]] int gossip_time(const protocol::SystolicSchedule& sched,
                               int max_rounds, const GossipOptions& opts = {});
 
-/// Compiled execution: periodic schedules wrap their stored rounds, finite
-/// protocols stop at round_count().  Result-identical to the legacy path.
+/// Compiled execution on the slice-major engine (simulator/batch.hpp):
+/// periodic schedules wrap their stored rounds, finite protocols stop at
+/// round_count().  Result-identical to the legacy path.
 [[nodiscard]] int gossip_time(const protocol::CompiledSchedule& cs,
                               int max_rounds, const GossipOptions& opts = {});
 

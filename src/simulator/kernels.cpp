@@ -45,7 +45,7 @@ void merge_both_delta_scalar(std::uint64_t* a, std::uint64_t* b,
 }
 
 constexpr RowKernels kScalarKernels{KernelKind::kScalar, merge_delta_scalar,
-                                    merge_both_delta_scalar};
+                                    merge_both_delta_scalar, slice_step<8>};
 
 #if SYSGO_KERNELS_X86
 
@@ -135,8 +135,63 @@ __attribute__((target("avx2"))) void merge_both_delta_avx2(
   deltas[1] = db;
 }
 
+// A 64-byte slice is two 256-bit lanes; `full`-ness is an exact compare
+// against the mask (vptest of the xor).
+__attribute__((target("avx2"))) inline bool equals_mask_avx2(__m256i u0,
+                                                             __m256i u1,
+                                                             __m256i m0,
+                                                             __m256i m1) {
+  const __m256i x =
+      _mm256_or_si256(_mm256_xor_si256(u0, m0), _mm256_xor_si256(u1, m1));
+  return _mm256_testz_si256(x, x) != 0;
+}
+
+__attribute__((target("avx2"))) int slice_step8_avx2(
+    std::uint64_t* rows, const graph::Arc* links, std::size_t count,
+    bool pairs, const std::uint64_t* mask, std::uint8_t* full) {
+  const __m256i m0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask));
+  const __m256i m1 =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask + 4));
+  int marked = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto a = static_cast<std::size_t>(links[i].tail);
+    const auto b = static_cast<std::size_t>(links[i].head);
+    auto* const ra = reinterpret_cast<__m256i*>(rows + a * 8);
+    auto* const rb = reinterpret_cast<__m256i*>(rows + b * 8);
+    if (pairs) {
+      if ((full[a] & full[b]) != 0) continue;
+      const __m256i u0 = _mm256_or_si256(_mm256_load_si256(ra),
+                                         _mm256_load_si256(rb));
+      const __m256i u1 = _mm256_or_si256(_mm256_load_si256(ra + 1),
+                                         _mm256_load_si256(rb + 1));
+      _mm256_store_si256(ra, u0);
+      _mm256_store_si256(ra + 1, u1);
+      _mm256_store_si256(rb, u0);
+      _mm256_store_si256(rb + 1, u1);
+      if (equals_mask_avx2(u0, u1, m0, m1)) {
+        marked += 2 - full[a] - full[b];
+        full[a] = 1;
+        full[b] = 1;
+      }
+    } else {
+      if (full[b] != 0) continue;
+      const __m256i u0 = _mm256_or_si256(_mm256_load_si256(rb),
+                                         _mm256_load_si256(ra));
+      const __m256i u1 = _mm256_or_si256(_mm256_load_si256(rb + 1),
+                                         _mm256_load_si256(ra + 1));
+      _mm256_store_si256(rb, u0);
+      _mm256_store_si256(rb + 1, u1);
+      if (equals_mask_avx2(u0, u1, m0, m1)) {
+        full[b] = 1;
+        ++marked;
+      }
+    }
+  }
+  return marked;
+}
+
 constexpr RowKernels kAvx2Kernels{KernelKind::kAvx2, merge_delta_avx2,
-                                  merge_both_delta_avx2};
+                                  merge_both_delta_avx2, slice_step8_avx2};
 
 // ------------------------------------------------------------------ AVX-512
 //
@@ -212,8 +267,45 @@ __attribute__((target(SYSGO_AVX512_TARGET))) void merge_both_delta_avx512(
   deltas[1] = static_cast<int>(_mm512_reduce_add_epi64(acc_b));
 }
 
+// A 64-byte slice is one 512-bit lane.
+__attribute__((target(SYSGO_AVX512_TARGET))) int slice_step8_avx512(
+    std::uint64_t* rows, const graph::Arc* links, std::size_t count,
+    bool pairs, const std::uint64_t* mask, std::uint8_t* full) {
+  const __m512i m = _mm512_loadu_si512(mask);
+  int marked = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto a = static_cast<std::size_t>(links[i].tail);
+    const auto b = static_cast<std::size_t>(links[i].head);
+    std::uint64_t* const ra = rows + a * 8;
+    std::uint64_t* const rb = rows + b * 8;
+    if (pairs) {
+      if ((full[a] & full[b]) != 0) continue;
+      const __m512i u =
+          _mm512_or_si512(_mm512_load_si512(ra), _mm512_load_si512(rb));
+      _mm512_store_si512(ra, u);
+      _mm512_store_si512(rb, u);
+      if (_mm512_cmpneq_epi64_mask(u, m) == 0) {
+        marked += 2 - full[a] - full[b];
+        full[a] = 1;
+        full[b] = 1;
+      }
+    } else {
+      if (full[b] != 0) continue;
+      const __m512i u =
+          _mm512_or_si512(_mm512_load_si512(rb), _mm512_load_si512(ra));
+      _mm512_store_si512(rb, u);
+      if (_mm512_cmpneq_epi64_mask(u, m) == 0) {
+        full[b] = 1;
+        ++marked;
+      }
+    }
+  }
+  return marked;
+}
+
 constexpr RowKernels kAvx512Kernels{KernelKind::kAvx512, merge_delta_avx512,
-                                    merge_both_delta_avx512};
+                                    merge_both_delta_avx512,
+                                    slice_step8_avx512};
 
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop

@@ -2,8 +2,13 @@
 //
 // Every quantity the stack produces — gossip/broadcast times, audit bounds,
 // synthesis objectives — bottoms out in the same inner loop: OR two 64-bit
-// word arrays and count the bits the destination gained.  This layer holds
-// that loop in three interchangeable implementations:
+// word arrays.  This layer holds two forms of that loop, each in three
+// interchangeable implementations:
+//
+//   merge_delta / merge_both_delta   one row union, counting the bits the
+//       destination gained (the per-vertex KnowledgeMatrix path)
+//   slice_step8                      one whole round of the slice-major
+//       gossip engine on 64-byte column slices (simulator/batch.hpp)
 //
 //   scalar   portable uint64_t loop + std::popcount (always compiled)
 //   avx2     256-bit OR, popcount via the vpshufb nibble-LUT + vpsadbw
@@ -27,6 +32,8 @@
 #include <cstdint>
 #include <cstddef>
 
+#include "graph/digraph.hpp"
+
 namespace sysgo::simulator {
 
 enum class KernelKind : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
@@ -42,7 +49,68 @@ struct RowKernels {
   /// a and b both become a | b; deltas[0]/deltas[1] = bits a/b gained.
   void (*merge_both_delta)(std::uint64_t* a, std::uint64_t* b,
                            std::size_t words, int deltas[2]);
+  /// One round of the slice-major gossip engine on 8-word slices; same
+  /// contract as slice_step<8> below, plus `rows` 64-byte aligned.
+  int (*slice_step8)(std::uint64_t* rows, const graph::Arc* links,
+                     std::size_t count, bool pairs, const std::uint64_t* mask,
+                     std::uint8_t* full);
 };
+
+/// One round of the slice-major gossip engine on W-word column slices,
+/// portable form (the scalar kernel's slice_step8, and the engine's step for
+/// W < 8).  `rows` holds one W-word slice per vertex (vertex v at
+/// rows + W·v); `links` is the round's merge work list — half-duplex arcs
+/// (head |= tail), or with `pairs` full-duplex tail < head pairs (both
+/// become their union).  A merge into a row marked in `full` is skipped; a
+/// row whose slice becomes equal to `mask` is marked.  Returns the number
+/// of rows newly marked.  Within a round the links form a matching, so the
+/// in-place merges equal snapshot semantics.
+template <std::size_t W>
+int slice_step(std::uint64_t* rows, const graph::Arc* links, std::size_t count,
+               bool pairs, const std::uint64_t* mask,
+               std::uint8_t* full) noexcept {
+  int marked = 0;
+  if (pairs) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto a = static_cast<std::size_t>(links[i].tail);
+      const auto b = static_cast<std::size_t>(links[i].head);
+      if ((full[a] & full[b]) != 0) continue;
+      std::uint64_t* const ra = rows + a * W;
+      std::uint64_t* const rb = rows + b * W;
+      std::uint64_t diff = 0;
+      for (std::size_t w = 0; w < W; ++w) {
+        const std::uint64_t u = ra[w] | rb[w];
+        ra[w] = u;
+        rb[w] = u;
+        diff |= u ^ mask[w];
+      }
+      if (diff == 0) {
+        marked += 2 - full[a] - full[b];
+        full[a] = 1;
+        full[b] = 1;
+      }
+    }
+  } else {
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto h = static_cast<std::size_t>(links[i].head);
+      if (full[h] != 0) continue;
+      std::uint64_t* const rh = rows + h * W;
+      const std::uint64_t* const rt =
+          rows + static_cast<std::size_t>(links[i].tail) * W;
+      std::uint64_t diff = 0;
+      for (std::size_t w = 0; w < W; ++w) {
+        const std::uint64_t u = rh[w] | rt[w];
+        rh[w] = u;
+        diff |= u ^ mask[w];
+      }
+      if (diff == 0) {
+        full[h] = 1;
+        ++marked;
+      }
+    }
+  }
+  return marked;
+}
 
 /// Kernel `k` was compiled into this binary (x86 builds compile all three;
 /// other architectures only the scalar one).

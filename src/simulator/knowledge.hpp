@@ -1,5 +1,8 @@
 // Knowledge state of a gossip run: one bitset row per processor recording
-// which of the n items it currently holds.  Rows are 64-bit word packed and
+// which of the n items it currently holds.  This is the per-vertex API
+// (run_gossip, apply_round, the authoring-format gossip_time) and the test
+// oracle of the slice-major engine in simulator/batch.hpp, which runs every
+// compiled-schedule gossip instead.  Rows are 64-bit word packed and
 // stored at a 64-byte-aligned stride (words rounded up to a cache line;
 // padding words are always zero), so a round's merges are single kernel
 // calls — simulator/kernels dispatches them to the widest SIMD ISA the host

@@ -65,7 +65,7 @@ bool family_is_seeded(topology::Family f) {
 }
 
 /// The limit fields that can change this task's result.  Thread counts and
-/// the within-round parallelism toggle are excluded on purpose: results are
+/// the parallel-slices toggle are excluded on purpose: results are
 /// identical for any value (asserted by the engine's determinism tests).
 std::string limits_fingerprint(engine::Task task,
                                const engine::ExecutionLimits& limits) {

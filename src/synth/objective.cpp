@@ -4,38 +4,17 @@
 #include <vector>
 
 #include "core/audit.hpp"
-#include "simulator/gossip_sim.hpp"
-#include "simulator/knowledge.hpp"
 
 namespace sysgo::synth {
 
 namespace {
 
-/// Gossip run with coverage: like simulator::gossip_time, but reports how
-/// many items landed when the cap is hit.  `know` arrives in the identity
-/// start state (freshly built or arena-reset).
-void run_gossip_objective(const protocol::CompiledSchedule& cs,
-                          simulator::KnowledgeMatrix& know, int max_rounds,
-                          Objective& obj) {
-  if (know.all_full()) {  // n == 1
-    obj.feasible = true;
-    obj.rounds = 0;
-    obj.coverage = cs.n();
-    return;
-  }
-  const int rounds = cs.round_count();
-  int r = 0;
-  for (int i = 1; i <= max_rounds; ++i) {
-    simulator::apply_round(know, cs, r);
-    if (know.all_full()) {
-      obj.feasible = true;
-      obj.rounds = i;
-      obj.coverage = cs.n() * cs.n();
-      return;
-    }
-    if (++r == rounds) r = 0;
-  }
-  for (int v = 0; v < cs.n(); ++v) obj.coverage += know.count(v);
+/// Record a gossip run: feasible with its completion round, or infeasible
+/// with the coverage the run reached at the cap.
+void set_gossip(const simulator::GossipOutcome& run, Objective& obj) {
+  obj.feasible = run.rounds >= 0;
+  obj.rounds = run.rounds;
+  obj.coverage = run.coverage;
 }
 
 /// Broadcast run with coverage: one reach bitset, whispering semantics —
@@ -101,7 +80,7 @@ Objective evaluate_with_scratch(const protocol::CompiledSchedule& cs,
                                    ? cs.arc_total() / 2
                                    : cs.arc_total());
   if (opts.goal == Goal::kGossip)
-    run_gossip_objective(cs, arena.acquire(cs.n()), opts.max_rounds, obj);
+    set_gossip(arena.run(cs, opts.max_rounds, /*coverage=*/true), obj);
   else
     run_broadcast_objective(cs, opts.source, opts.max_rounds, reach, obj);
   if (opts.audit_gap && opts.goal == Goal::kGossip && obj.feasible)
@@ -156,7 +135,7 @@ std::vector<Objective> evaluate_batch(
 // ------------------------------------------------------------ DraftEvaluator
 
 const std::uint64_t* DraftEvaluator::scratch_data() const noexcept {
-  return know_ != nullptr ? know_->row(0).data() : nullptr;
+  return arena_.scratch_data();
 }
 
 Objective DraftEvaluator::evaluate(const ScheduleDraft& draft,
@@ -169,35 +148,14 @@ Objective DraftEvaluator::evaluate(const ScheduleDraft& draft,
   obj.links = static_cast<int>(draft.total_links());
 
   if (opts.goal == Goal::kGossip) {
-    simulator::KnowledgeMatrix& know = arena_.acquire(n);
-    know_ = &know;
-    if (know.all_full()) {  // n == 1
-      obj.feasible = true;
-      obj.rounds = 0;
-      obj.coverage = n;
-    } else {
-      int r = 0;
-      for (int i = 1; i <= opts.max_rounds; ++i) {
-        // Draft links are the compiled work list: half-duplex rounds are
-        // their directed arcs, full-duplex rounds their tail < head pair
-        // representatives.  Merge order within a matching is irrelevant,
-        // so skipping canonicalization changes nothing.
-        const std::vector<graph::Arc>& links = draft.links(r);
-        if (full)
-          know.merge_pairs(links);
-        else
-          know.merge_arcs(links);
-        if (know.all_full()) {
-          obj.feasible = true;
-          obj.rounds = i;
-          obj.coverage = n * n;
-          break;
-        }
-        if (++r == period) r = 0;
-      }
-      if (!obj.feasible)
-        for (int v = 0; v < n; ++v) obj.coverage += know.count(v);
-    }
+    // Draft links are the compiled work list: half-duplex rounds are their
+    // directed arcs, full-duplex rounds their tail < head pair
+    // representatives.  Merge order within a matching is irrelevant, so
+    // skipping canonicalization changes nothing.
+    links_.clear();
+    for (int r = 0; r < period; ++r) links_.push_back(draft.links(r));
+    set_gossip(arena_.run(n, full, links_, opts.max_rounds, /*coverage=*/true),
+               obj);
   } else {
     if (opts.source < 0 || opts.source >= n)
       throw std::invalid_argument(

@@ -20,8 +20,10 @@
 //                            matching invariants by construction, so the
 //                            per-move CompiledSchedule build (validation,
 //                            canonicalization, partner tables, half a dozen
-//                            allocations) is skipped, and the scratch
-//                            knowledge matrix is reused across moves.
+//                            allocations) is skipped, and the gossip slice
+//                            scratch is reused across moves.
+//
+// Gossip runs on the slice-major engine (simulator/batch.hpp).
 //
 // evaluate_batch scores many compiled candidates through one shared
 // scratch arena (the restart winners' final full-budget re-scoring).
@@ -56,8 +58,10 @@ struct Objective {
   int rounds = -1;     // completion time, -1 when infeasible
   int period = 0;      // schedule period
   int links = 0;       // active links summed over the period
-  int coverage = 0;    // items delivered at the end of the run (gradient
-                       // signal for infeasible candidates)
+  /// Items delivered at the end of the run, summed over vertices (n² when
+  /// feasible; the gradient signal for infeasible candidates).  64-bit:
+  /// n² overflows an int past n = 46340.
+  std::int64_t coverage = 0;
   double audit_gap = 0.0;  // rounds − certified lower bound (audit_gap only)
 
   /// Annealing energy, lower = better: a scalarization the acceptance rule
@@ -79,7 +83,7 @@ struct Objective {
                                  const ObjectiveOptions& opts);
 
 /// Evaluate many compiled periodic candidates through one shared scratch
-/// arena (one knowledge-matrix allocation for the whole batch).  Entry i
+/// arena (one slice-scratch allocation for the whole batch).  Entry i
 /// equals evaluate(*batch[i], opts).
 [[nodiscard]] std::vector<Objective> evaluate_batch(
     std::span<const protocol::CompiledSchedule* const> batch,
@@ -103,16 +107,15 @@ class DraftEvaluator {
   [[nodiscard]] Objective evaluate(const ScheduleDraft& draft,
                                    const ObjectiveOptions& opts);
 
-  /// Test hook: backing words of the gossip scratch matrix (nullptr before
+  /// Test hook: backing words of the gossip slice scratch (nullptr before
   /// the first gossip evaluation).  Stable across goal switches at a fixed
   /// n — broadcast runs on its own reach vector.
   [[nodiscard]] const std::uint64_t* scratch_data() const noexcept;
 
  private:
   simulator::GossipArena arena_;  // gossip scratch
+  std::vector<std::span<const graph::Arc>> links_;  // the draft's rounds
   std::vector<char> reach_;       // broadcast scratch
-  // The matrix arena_ last handed out (scratch_data() reads it).
-  const simulator::KnowledgeMatrix* know_ = nullptr;
 };
 
 }  // namespace sysgo::synth

@@ -105,14 +105,16 @@ RestartOutcome anneal(const protocol::SystolicSchedule& initial,
   constexpr double kT0 = 2.0;    // round-unit temperatures
   constexpr double kTEnd = 0.05;
   const double steps = opts.iterations > 1 ? opts.iterations - 1 : 1;
+  // Snapshot-undo: drafts are small (period × links), so a full copy makes
+  // every move trivially reversible.  One backup per restart, copy-assigned
+  // per move, so its round vectors keep their capacity instead of being
+  // reallocated on every move.
+  ScheduleDraft backup = draft;
   for (int it = 0; it < opts.iterations; ++it) {
     if (opts.time_budget_ms > 0.0 && timer.millis() >= opts.time_budget_ms)
       break;
     ++out.proposed;
-    // Snapshot-undo: drafts are small (period × links), so a full copy is
-    // cheap next to the simulation below and makes every move trivially
-    // reversible.
-    const ScheduleDraft backup = draft;
+    backup = draft;
 
     bool changed = false;
     switch (rng.uniform_index(7)) {

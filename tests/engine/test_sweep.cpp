@@ -110,8 +110,8 @@ TEST(Sweep, ThreadedMatchesSerialAcrossAllFamilies) {
   }
 }
 
-// Satellite: GossipOptions::parallel surfaced through ExecutionLimits —
-// within-round threaded merges must reproduce the serial records exactly
+// GossipOptions::parallel surfaced through ExecutionLimits — column slices
+// run on the pool must reproduce the serial records exactly
 // over the fig5 corpus (the paper's seven families).
 TEST(Sweep, RoundThreadsProduceSameSimulateRecords) {
   ScenarioSpec spec;

@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "core/audit.hpp"
 #include "protocol/builders.hpp"
 #include "simulator/broadcast_sim.hpp"
 #include "simulator/gossip_sim.hpp"
 #include "topology/classic.hpp"
 #include "topology/kautz.hpp"
+#include "util/rng.hpp"
 
 namespace sysgo::synth {
 namespace {
@@ -138,9 +143,84 @@ TEST(Objective, AuditGapTermJoinsTheScore) {
   EXPECT_GE(obj.score(), base.score());
 }
 
-// Switching goals on one evaluator must not reallocate the gossip scratch
-// (broadcast runs on its own reach vector), and results after each switch
-// must match fresh evaluators.
+// Coverage is 64-bit: n² and the capped Σ counts of Q_16 (n = 65,536) both
+// pass INT_MAX.  Each vertex of the full-duplex dimension-order schedule
+// knows 2^k items after k rounds, so round 16 completes and a cap of 15
+// leaves n · 2^15 = 2^31 items delivered.
+TEST(Objective, CoverageIsExactPastIntRangeOnHypercube16) {
+  const auto g = topology::hypercube(16);
+  const auto cs = CompiledSchedule::compile(
+      protocol::edge_coloring_schedule(g, Mode::kFullDuplex), &g);
+  ASSERT_EQ(cs.n(), 65536);
+  ObjectiveOptions opts;
+  const Objective done = evaluate(cs, opts);
+  ASSERT_TRUE(done.feasible);
+  EXPECT_EQ(done.rounds, 16);
+  EXPECT_EQ(done.coverage, std::int64_t{65536} * 65536);
+  opts.max_rounds = 15;
+  const Objective capped = evaluate(cs, opts);
+  EXPECT_FALSE(capped.feasible);
+  EXPECT_EQ(capped.coverage, std::int64_t{1} << 31);
+}
+
+void expect_same_objective(const Objective& a, const Objective& b,
+                           const std::string& where) {
+  EXPECT_EQ(a.feasible, b.feasible) << where;
+  EXPECT_EQ(a.rounds, b.rounds) << where;
+  EXPECT_EQ(a.period, b.period) << where;
+  EXPECT_EQ(a.links, b.links) << where;
+  EXPECT_EQ(a.coverage, b.coverage) << where;
+  EXPECT_EQ(a.audit_gap, b.audit_gap) << where;
+}
+
+// The draft evaluator and the compiled evaluate share the slice engine
+// through different round tables; they must agree at every slice width
+// (n across the W = 1, 2, 4, 8 and multi-slice edges), in both modes, at
+// caps that complete and caps that stop one round short.
+TEST(Objective, DraftEvaluatorMatchesCompiledAcrossSliceWidths) {
+  util::Rng rng(0xd4af7);
+  DraftEvaluator de;
+  for (const int n : {2, 63, 64, 65, 128, 129, 256, 257, 512, 513, 1025}) {
+    for (const Mode mode : {Mode::kHalfDuplex, Mode::kFullDuplex}) {
+      // Four rounds of random matchings on K_n; half-duplex periods add
+      // the four reversed rounds, so every link carries both directions.
+      protocol::SystolicSchedule sched;
+      sched.n = n;
+      sched.mode = mode;
+      for (int r = 0; r < 4; ++r) {
+        protocol::Round round;
+        protocol::Round reversed;
+        const std::vector<int> perm = rng.permutation(n);
+        for (int i = 0; i + 1 < n; i += 2) {
+          if (rng.uniform_index(32) == 0) continue;
+          const int a = perm[static_cast<std::size_t>(i)];
+          const int b = perm[static_cast<std::size_t>(i) + 1];
+          round.arcs.push_back({a, b});
+          (mode == Mode::kFullDuplex ? round : reversed).arcs.push_back({b, a});
+        }
+        sched.period.push_back(std::move(round));
+        if (mode == Mode::kHalfDuplex)
+          sched.period.push_back(std::move(reversed));
+      }
+      const ScheduleDraft draft = ScheduleDraft::from_schedule(sched);
+      const auto cs = CompiledSchedule::compile(draft.to_schedule());
+      ObjectiveOptions opts;
+      const int t = evaluate(cs, opts).rounds;
+      ASSERT_GT(t, 0) << "n=" << n;
+      for (const int cap : {opts.max_rounds, t, t - 1, 1}) {
+        opts.max_rounds = cap;
+        expect_same_objective(
+            de.evaluate(draft, opts), evaluate(cs, opts),
+            "n=" + std::to_string(n) + " cap=" + std::to_string(cap) +
+                (mode == Mode::kFullDuplex ? " full" : " half"));
+      }
+    }
+  }
+}
+
+// Switching goals on one evaluator must not reallocate the gossip slice
+// scratch (broadcast runs on its own reach vector), and results after each
+// switch must match fresh evaluators.
 TEST(Objective, DraftEvaluatorScratchSurvivesGoalSwitch) {
   DraftEvaluator ev;
   DraftEvaluator fresh_gossip;
@@ -161,18 +241,11 @@ TEST(Objective, DraftEvaluatorScratchSurvivesGoalSwitch) {
   const Objective g2 = ev.evaluate(draft, gossip);
   EXPECT_EQ(ev.scratch_data(), scratch) << "gossip switch reallocated";
 
-  const auto expect_same = [](const Objective& a, const Objective& b,
-                              const char* where) {
-    EXPECT_EQ(a.feasible, b.feasible) << where;
-    EXPECT_EQ(a.rounds, b.rounds) << where;
-    EXPECT_EQ(a.period, b.period) << where;
-    EXPECT_EQ(a.links, b.links) << where;
-    EXPECT_EQ(a.coverage, b.coverage) << where;
-    EXPECT_EQ(a.audit_gap, b.audit_gap) << where;
-  };
-  expect_same(g1, fresh_gossip.evaluate(draft, gossip), "pre-switch");
-  expect_same(b1, fresh_broadcast.evaluate(draft, broadcast), "broadcast");
-  expect_same(g2, g1, "post-switch gossip");
+  expect_same_objective(g1, fresh_gossip.evaluate(draft, gossip),
+                        "pre-switch");
+  expect_same_objective(b1, fresh_broadcast.evaluate(draft, broadcast),
+                        "broadcast");
+  expect_same_objective(g2, g1, "post-switch gossip");
 }
 
 }  // namespace

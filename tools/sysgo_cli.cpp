@@ -116,8 +116,8 @@ int usage() {
                "[--periods 3:8,inf] [--round-threads N]\n"
                "      parallel scenario sweep; d in 2..64, D in 1..30\n"
                "      (default: the paper's seven, d=2, bound at s=3..8;\n"
-               "       --round-threads N>1 enables within-round parallel "
-               "merges\n"
+               "       --round-threads N>1 runs the simulator's column "
+               "slices\n"
                "       on the process-wide pool — results are identical "
                "for any N)\n"
                "  sysgo solve [grid flags] [--problems gossip,broadcast] "
@@ -606,9 +606,8 @@ constexpr GridFlag kGridFlags[] = {
            parse_int_list(x.value, x.flag, {3, std::numeric_limits<int>::max()},
                           /*allow_inf=*/true);
      }},
-    // A toggle, not a degree: any N > 1 turns on the simulator's
-    // within-round parallel merges, which run on the process-wide pool at
-    // its lane count (results are identical for any value; see
+    // A toggle, not a degree: any N > 1 runs the simulator's column slices
+    // in parallel on the process-wide pool at its lane count (results are identical for any value; see
     // ExecutionLimits::simulate_parallel_rounds).
     {"--round-threads", kSweep, true,
      [](GridArgs& a, const Arg& x) {
