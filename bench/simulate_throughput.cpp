@@ -1,17 +1,12 @@
-// Legacy vs compiled simulation throughput — the tentpole measurement of
-// the compiled-schedule IR.
+// Compiled-schedule simulation throughput.
 //
 // Corpus: the paper's fig5/fig6 families (edge-coloring schedules at d = 2,
 // half-duplex for the fig5 reading, full-duplex for fig6/fig8) plus the
 // large-D de Bruijn and Kautz members the sweep engine grinds through.
-// Each member is simulated to gossip completion along both paths:
-//
-//   legacy    gossip_time(SystolicSchedule)   round_at() + arc-vector walk
-//   compiled  gossip_time(CompiledSchedule)   flat CSR spans + role gather
-//
-// plus the one-off compile cost, so the break-even point (a handful of
-// simulated rounds) is visible.  The compiled path is the slice-major
-// engine (simulator/batch.hpp).  On top of that: per-kernel gossip
+// Each member is simulated to gossip completion on the slice-major engine
+// (simulator/batch.hpp) from a CompiledSchedule, next to the one-off
+// compile cost, so the break-even point (a handful of simulated rounds) is
+// visible.  On top of that: per-kernel gossip
 // (simulate/kernel/<scalar|avx2|avx512>/..., rows/s) on the members with
 // n > 256, the only ones whose 64-byte slices run the kernel table's
 // slice step, and arena-backed gossip (simulate/arena/...).  Rates are per
@@ -89,14 +84,6 @@ const Member& large_audit_member() {
   return *kMember;
 }
 
-void BM_SimulateLegacy(benchmark::State& state, const Member& m) {
-  for (auto _ : state) {
-    const int t = sysgo::simulator::gossip_time(m.schedule, 1 << 20);
-    benchmark::DoNotOptimize(t);
-  }
-  state.SetItemsProcessed(state.iterations() * m.schedule.n);
-}
-
 void BM_SimulateCompiled(benchmark::State& state, const Member& m) {
   const auto cs = CompiledSchedule::compile(m.schedule);
   for (auto _ : state) {
@@ -170,10 +157,6 @@ void BM_SimulateArena(benchmark::State& state, const Member& m) {
 const bool kRegistered = [] {
   using sysgo::simulator::KernelKind;
   for (const Member& m : corpus()) {
-    benchmark::RegisterBenchmark(("simulate/legacy/" + m.name).c_str(),
-                                 BM_SimulateLegacy, m)
-        ->Unit(benchmark::kMicrosecond)
-        ->UseRealTime();
     benchmark::RegisterBenchmark(("simulate/compiled/" + m.name).c_str(),
                                  BM_SimulateCompiled, m)
         ->Unit(benchmark::kMicrosecond)

@@ -87,12 +87,6 @@ void CompiledSchedule::require_periodic(const char* who) const {
                                 ": needs a periodic schedule");
 }
 
-void CompiledSchedule::require_finite(const char* who) const {
-  if (periodic_)
-    throw std::invalid_argument(std::string(who) +
-                                ": needs a compiled finite protocol");
-}
-
 CompiledSchedule CompiledSchedule::compile(const SystolicSchedule& s,
                                            const graph::Digraph* g) {
   return build(s.n, s.mode, /*periodic=*/true, s.period, g);

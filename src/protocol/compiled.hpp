@@ -122,11 +122,10 @@ class CompiledSchedule {
   /// Total arcs across all stored rounds.
   [[nodiscard]] std::size_t arc_total() const noexcept { return arcs_.size(); }
 
-  /// Precondition helpers for consumers that only make sense in one
-  /// reading: throw std::invalid_argument naming `who` unless the schedule
-  /// is periodic (resp. finite).
+  /// Precondition helper for consumers that only make sense in the
+  /// periodic reading: throws std::invalid_argument naming `who` unless the
+  /// schedule is periodic.
   void require_periodic(const char* who) const;
-  void require_finite(const char* who) const;
 
   /// Structural equality: same network size, mode, periodicity and per-round
   /// arc sets.  Authored arc order does not matter (rounds are canonical);

@@ -175,4 +175,10 @@ int gossip_time(const protocol::CompiledSchedule& cs, int max_rounds,
   return gossip_time(cs, max_rounds, opts, arena);
 }
 
+int gossip_time(const protocol::SystolicSchedule& sched, int max_rounds,
+                const GossipOptions& opts) {
+  return gossip_time(protocol::CompiledSchedule::compile(sched), max_rounds,
+                     opts);
+}
+
 }  // namespace sysgo::simulator

@@ -1,6 +1,5 @@
-// The slice-major gossip engine: every compiled-schedule gossip run
-// (gossip_time, the sweep's simulate task, the synthesizer's objective) goes
-// through it.
+// The slice-major gossip engine: every gossip run (gossip_time, the sweep's
+// simulate task, the synthesizer's objective) goes through it.
 //
 // An OR merge touches each item column independently, so a run splits by
 // columns.  The n item columns are cut into slices of W words — W the
@@ -15,7 +14,7 @@
 // counter end each slice at its own completion round, and merges into a
 // full head are skipped.  No per-merge popcount: the gossip time is the max
 // over slices, and coverage (items delivered at the cap) is one popcount
-// pass at the end.  Results equal the KnowledgeMatrix path's.
+// pass at the end.
 #pragma once
 
 #include <cstdint>

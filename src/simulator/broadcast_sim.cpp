@@ -38,7 +38,9 @@ std::vector<int> broadcast_reach(const protocol::Protocol& p, int src) {
 }
 
 std::vector<int> broadcast_reach(const protocol::CompiledSchedule& cs, int src) {
-  cs.require_finite("broadcast_reach");  // periodic goes through broadcast_time
+  if (cs.periodic())  // periodic schedules go through broadcast_time
+    throw std::invalid_argument(
+        "broadcast_reach: needs a compiled finite protocol");
   std::vector<int> reach(static_cast<std::size_t>(cs.n()), -1);
   reach[static_cast<std::size_t>(src)] = 0;
   std::vector<int> newly;
@@ -78,8 +80,7 @@ int broadcast_time(const protocol::CompiledSchedule& cs, int src, int max_rounds
 }
 
 bool achieves_gossip(const protocol::Protocol& p) {
-  simulator::GossipResult res = run_gossip(p);
-  return res.complete;
+  return gossip_time(protocol::CompiledSchedule::compile(p), p.length()) >= 0;
 }
 
 std::vector<std::vector<int>> arrival_times(const protocol::Protocol& p) {

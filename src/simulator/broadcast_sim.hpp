@@ -32,7 +32,8 @@ namespace sysgo::simulator {
                                  int max_rounds);
 
 /// Definition 3.1 condition 2 checked exhaustively by simulation: every
-/// ordered pair (x, y) is served within the protocol's length.
+/// ordered pair (x, y) is served within the protocol's length.  Throws
+/// std::invalid_argument when a round is not a matching of p's mode.
 [[nodiscard]] bool achieves_gossip(const protocol::Protocol& p);
 
 /// The full n x n arrival-time matrix: entry (src, dst) is the first round

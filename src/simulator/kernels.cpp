@@ -1,6 +1,5 @@
 #include "simulator/kernels.hpp"
 
-#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -19,124 +18,15 @@ namespace {
 
 // ------------------------------------------------------------------ scalar
 
-int merge_delta_scalar(std::uint64_t* dst, const std::uint64_t* src,
-                       std::size_t words) {
-  int added = 0;
-  for (std::size_t w = 0; w < words; ++w) {
-    added += std::popcount(src[w] & ~dst[w]);
-    dst[w] |= src[w];
-  }
-  return added;
-}
-
-void merge_both_delta_scalar(std::uint64_t* a, std::uint64_t* b,
-                             std::size_t words, int deltas[2]) {
-  int da = 0;
-  int db = 0;
-  for (std::size_t w = 0; w < words; ++w) {
-    const std::uint64_t u = a[w] | b[w];
-    da += std::popcount(u & ~a[w]);
-    db += std::popcount(u & ~b[w]);
-    a[w] = u;
-    b[w] = u;
-  }
-  deltas[0] = da;
-  deltas[1] = db;
-}
-
-constexpr RowKernels kScalarKernels{KernelKind::kScalar, merge_delta_scalar,
-                                    merge_both_delta_scalar, slice_step<8>};
+constexpr RowKernels kScalarKernels{KernelKind::kScalar, slice_step<8>};
 
 #if SYSGO_KERNELS_X86
 
 // -------------------------------------------------------------------- AVX2
 //
-// Popcount of a 256-bit vector via the vpshufb nibble LUT (Mula): per-byte
-// counts from two 16-entry table lookups, then vpsadbw folds bytes into four
-// 64-bit partial sums that accumulate across iterations.
-
-__attribute__((target("avx2"))) inline __m256i popcount_bytes_avx2(
-    __m256i v) {
-  const __m256i lut =
-      _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1,
-                       1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-  const __m256i low_mask = _mm256_set1_epi8(0x0f);
-  const __m256i lo = _mm256_and_si256(v, low_mask);
-  const __m256i hi = _mm256_and_si256(_mm256_srli_epi32(v, 4), low_mask);
-  return _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
-                         _mm256_shuffle_epi8(lut, hi));
-}
-
-__attribute__((target("avx2"))) inline int hsum_epi64_avx2(__m256i v) {
-  return static_cast<int>(_mm256_extract_epi64(v, 0) +
-                          _mm256_extract_epi64(v, 1) +
-                          _mm256_extract_epi64(v, 2) +
-                          _mm256_extract_epi64(v, 3));
-}
-
-__attribute__((target("avx2"))) int merge_delta_avx2(std::uint64_t* dst,
-                                                     const std::uint64_t* src,
-                                                     std::size_t words) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t w = 0;
-  for (; w + 4 <= words; w += 4) {
-    const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + w));
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + w));
-    const __m256i fresh = _mm256_andnot_si256(d, s);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w),
-                        _mm256_or_si256(d, s));
-    acc = _mm256_add_epi64(
-        acc, _mm256_sad_epu8(popcount_bytes_avx2(fresh),
-                             _mm256_setzero_si256()));
-  }
-  int added = hsum_epi64_avx2(acc);
-  for (; w < words; ++w) {
-    added += std::popcount(src[w] & ~dst[w]);
-    dst[w] |= src[w];
-  }
-  return added;
-}
-
-__attribute__((target("avx2"))) void merge_both_delta_avx2(
-    std::uint64_t* a, std::uint64_t* b, std::size_t words, int deltas[2]) {
-  __m256i acc_a = _mm256_setzero_si256();
-  __m256i acc_b = _mm256_setzero_si256();
-  std::size_t w = 0;
-  for (; w + 4 <= words; w += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w));
-    const __m256i u = _mm256_or_si256(va, vb);
-    const __m256i zero = _mm256_setzero_si256();
-    acc_a = _mm256_add_epi64(
-        acc_a,
-        _mm256_sad_epu8(popcount_bytes_avx2(_mm256_andnot_si256(va, vb)),
-                        zero));
-    acc_b = _mm256_add_epi64(
-        acc_b,
-        _mm256_sad_epu8(popcount_bytes_avx2(_mm256_andnot_si256(vb, va)),
-                        zero));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + w), u);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(b + w), u);
-  }
-  int da = hsum_epi64_avx2(acc_a);
-  int db = hsum_epi64_avx2(acc_b);
-  for (; w < words; ++w) {
-    const std::uint64_t u = a[w] | b[w];
-    da += std::popcount(u & ~a[w]);
-    db += std::popcount(u & ~b[w]);
-    a[w] = u;
-    b[w] = u;
-  }
-  deltas[0] = da;
-  deltas[1] = db;
-}
-
 // A 64-byte slice is two 256-bit lanes; `full`-ness is an exact compare
 // against the mask (vptest of the xor).
+
 __attribute__((target("avx2"))) inline bool equals_mask_avx2(__m256i u0,
                                                              __m256i u1,
                                                              __m256i m0,
@@ -190,85 +80,13 @@ __attribute__((target("avx2"))) int slice_step8_avx2(
   return marked;
 }
 
-constexpr RowKernels kAvx2Kernels{KernelKind::kAvx2, merge_delta_avx2,
-                                  merge_both_delta_avx2, slice_step8_avx2};
+constexpr RowKernels kAvx2Kernels{KernelKind::kAvx2, slice_step8_avx2};
 
 // ------------------------------------------------------------------ AVX-512
 //
-// vpopcntq counts whole 64-bit lanes in one instruction; tails use masked
-// loads/stores so no scalar peel is needed.
-//
-// GCC 12's avx512fintrin.h builds _mm512_andnot_si512 and
-// _mm512_reduce_add_epi64 on _mm512_undefined_epi32(), which -O2 flags as
-// "may be used uninitialized" even though the value is fully overwritten —
-// suppress those two diagnostics for this block only.
+// A 64-byte slice is one 512-bit lane; the step needs only AVX-512F.
 
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-
-#define SYSGO_AVX512_TARGET "avx512f,avx512bw,avx512vl,avx512vpopcntdq"
-
-__attribute__((target(SYSGO_AVX512_TARGET))) int merge_delta_avx512(
-    std::uint64_t* dst, const std::uint64_t* src, std::size_t words) {
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t w = 0;
-  for (; w + 8 <= words; w += 8) {
-    const __m512i d = _mm512_loadu_si512(dst + w);
-    const __m512i s = _mm512_loadu_si512(src + w);
-    acc = _mm512_add_epi64(acc,
-                           _mm512_popcnt_epi64(_mm512_andnot_si512(d, s)));
-    _mm512_storeu_si512(dst + w, _mm512_or_si512(d, s));
-  }
-  if (w < words) {
-    const __mmask8 m =
-        static_cast<__mmask8>((1u << (words - w)) - 1u);
-    const __m512i d = _mm512_maskz_loadu_epi64(m, dst + w);
-    const __m512i s = _mm512_maskz_loadu_epi64(m, src + w);
-    acc = _mm512_add_epi64(acc,
-                           _mm512_popcnt_epi64(_mm512_andnot_si512(d, s)));
-    _mm512_mask_storeu_epi64(dst + w, m, _mm512_or_si512(d, s));
-  }
-  return static_cast<int>(_mm512_reduce_add_epi64(acc));
-}
-
-__attribute__((target(SYSGO_AVX512_TARGET))) void merge_both_delta_avx512(
-    std::uint64_t* a, std::uint64_t* b, std::size_t words, int deltas[2]) {
-  __m512i acc_a = _mm512_setzero_si512();
-  __m512i acc_b = _mm512_setzero_si512();
-  std::size_t w = 0;
-  for (; w + 8 <= words; w += 8) {
-    const __m512i va = _mm512_loadu_si512(a + w);
-    const __m512i vb = _mm512_loadu_si512(b + w);
-    const __m512i u = _mm512_or_si512(va, vb);
-    acc_a = _mm512_add_epi64(
-        acc_a, _mm512_popcnt_epi64(_mm512_andnot_si512(va, vb)));
-    acc_b = _mm512_add_epi64(
-        acc_b, _mm512_popcnt_epi64(_mm512_andnot_si512(vb, va)));
-    _mm512_storeu_si512(a + w, u);
-    _mm512_storeu_si512(b + w, u);
-  }
-  if (w < words) {
-    const __mmask8 m =
-        static_cast<__mmask8>((1u << (words - w)) - 1u);
-    const __m512i va = _mm512_maskz_loadu_epi64(m, a + w);
-    const __m512i vb = _mm512_maskz_loadu_epi64(m, b + w);
-    const __m512i u = _mm512_or_si512(va, vb);
-    acc_a = _mm512_add_epi64(
-        acc_a, _mm512_popcnt_epi64(_mm512_andnot_si512(va, vb)));
-    acc_b = _mm512_add_epi64(
-        acc_b, _mm512_popcnt_epi64(_mm512_andnot_si512(vb, va)));
-    _mm512_mask_storeu_epi64(a + w, m, u);
-    _mm512_mask_storeu_epi64(b + w, m, u);
-  }
-  deltas[0] = static_cast<int>(_mm512_reduce_add_epi64(acc_a));
-  deltas[1] = static_cast<int>(_mm512_reduce_add_epi64(acc_b));
-}
-
-// A 64-byte slice is one 512-bit lane.
-__attribute__((target(SYSGO_AVX512_TARGET))) int slice_step8_avx512(
+__attribute__((target("avx512f"))) int slice_step8_avx512(
     std::uint64_t* rows, const graph::Arc* links, std::size_t count,
     bool pairs, const std::uint64_t* mask, std::uint8_t* full) {
   const __m512i m = _mm512_loadu_si512(mask);
@@ -303,13 +121,7 @@ __attribute__((target(SYSGO_AVX512_TARGET))) int slice_step8_avx512(
   return marked;
 }
 
-constexpr RowKernels kAvx512Kernels{KernelKind::kAvx512, merge_delta_avx512,
-                                    merge_both_delta_avx512,
-                                    slice_step8_avx512};
-
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
+constexpr RowKernels kAvx512Kernels{KernelKind::kAvx512, slice_step8_avx512};
 
 #endif  // SYSGO_KERNELS_X86
 
@@ -323,10 +135,7 @@ bool cpu_supports(KernelKind k) noexcept {
     case KernelKind::kAvx2:
       return __builtin_cpu_supports("avx2") != 0;
     case KernelKind::kAvx512:
-      return __builtin_cpu_supports("avx512f") != 0 &&
-             __builtin_cpu_supports("avx512bw") != 0 &&
-             __builtin_cpu_supports("avx512vl") != 0 &&
-             __builtin_cpu_supports("avx512vpopcntdq") != 0;
+      return __builtin_cpu_supports("avx512f") != 0;
   }
   return false;
 #else

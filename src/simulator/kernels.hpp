@@ -1,32 +1,23 @@
-// Runtime-dispatched SIMD kernels for word-packed knowledge-row unions.
+// Runtime-dispatched SIMD kernels for the slice-major gossip engine.
 //
-// Every quantity the stack produces — gossip/broadcast times, audit bounds,
-// synthesis objectives — bottoms out in the same inner loop: OR two 64-bit
-// word arrays.  This layer holds two forms of that loop, each in three
-// interchangeable implementations:
+// Every gossip time and synthesis objective bottoms out in the same inner
+// loop: OR one vertex's slice of knowledge words into another's.  The
+// kernel table holds one entry, slice_step8 — one whole round of the engine
+// on 64-byte column slices (simulator/batch.hpp) — in three interchangeable
+// implementations:
 //
-//   merge_delta / merge_both_delta   one row union, counting the bits the
-//       destination gained (the per-vertex KnowledgeMatrix path)
-//   slice_step8                      one whole round of the slice-major
-//       gossip engine on 64-byte column slices (simulator/batch.hpp)
-//
-//   scalar   portable uint64_t loop + std::popcount (always compiled)
-//   avx2     256-bit OR, popcount via the vpshufb nibble-LUT + vpsadbw
-//   avx512   512-bit OR, popcount via vpopcntq, masked tail loads
+//   scalar   portable slice_step<8> (always compiled)
+//   avx2     two 256-bit ORs per slice, full test via vptest of the xor
+//   avx512   one 512-bit OR per slice, full test via a compare mask
+//            (AVX-512F only)
 //
 // Selection happens exactly once, at first use: the env override
 // SYSGO_FORCE_KERNEL=scalar|avx2|avx512 wins if set (unsupported forces
 // throw, so CI can gate on `sysgo kernels --have`), otherwise the widest
 // kernel the CPU reports via CPUID is taken.  All kernels are exact — the
-// same words and the same counts for any input — so every consumer is
-// byte-identical across kernels; tests/simulator/test_kernels.cpp holds the
-// differential suite.
-//
-// The kernels take arbitrary word counts and unaligned pointers (tail words
-// are masked / peeled); alignment and padding are the *caller's* perf
-// lever — KnowledgeMatrix pads rows to 64-byte multiples on 64-byte
-// boundaries so the hot path never splits a cache line and never takes the
-// tail path.
+// same words and the same marks for any input — so every consumer is
+// byte-identical across kernels; tests/simulator/test_slice_engine.cpp holds
+// the differential suite.
 #pragma once
 
 #include <cstdint>
@@ -39,16 +30,9 @@ namespace sysgo::simulator {
 enum class KernelKind : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 inline constexpr int kKernelKindCount = 3;
 
-/// The row-union operation set.  All counts are exact bit deltas.
+/// One kernel's operation table.
 struct RowKernels {
   KernelKind kind = KernelKind::kScalar;
-  /// dst |= src over `words`; returns popcount(src & ~dst_old) — the number
-  /// of bits dst gained.
-  int (*merge_delta)(std::uint64_t* dst, const std::uint64_t* src,
-                     std::size_t words);
-  /// a and b both become a | b; deltas[0]/deltas[1] = bits a/b gained.
-  void (*merge_both_delta)(std::uint64_t* a, std::uint64_t* b,
-                           std::size_t words, int deltas[2]);
   /// One round of the slice-major gossip engine on 8-word slices; same
   /// contract as slice_step<8> below, plus `rows` 64-byte aligned.
   int (*slice_step8)(std::uint64_t* rows, const graph::Arc* links,

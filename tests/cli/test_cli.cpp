@@ -1,7 +1,8 @@
 // Contract suite for the sysgo binary: each grid command's flag set and
 // --d/--D bounds, the named-flag error messages, the inputs rejected before
 // any work starts (unexpanded range checks, non-finite floats, stray
-// arguments), and the "# seed=" + CSV header of one tiny grid per command.
+// arguments), the "# seed=" + CSV header of one tiny grid per command, and
+// the schedule-file commands' input checks.
 //
 // SYSGO_CLI_PATH is the built binary (see the root CMakeLists.txt).  Grids
 // that only need to be *accepted* run as an empty shard, so nothing
@@ -39,11 +40,12 @@ std::string scratch(const std::string& name) {
          name;
 }
 
-CliResult sysgo(const std::string& args) {
+/// Run `sysgo args`; `env` (e.g. "VAR=value") prefixes the command line.
+CliResult sysgo(const std::string& args, const std::string& env = "") {
   const std::string out = scratch("stdout");
   const std::string err = scratch("stderr");
-  const std::string cmd = std::string("'") + SYSGO_CLI_PATH + "' " + args +
-                          " >'" + out + "' 2>'" + err + "'";
+  const std::string cmd = env + " '" + SYSGO_CLI_PATH + "' " + args + " >'" +
+                          out + "' 2>'" + err + "'";
   const int status = std::system(cmd.c_str());
   CliResult r;
   if (WIFEXITED(status)) r.code = WEXITSTATUS(status);
@@ -214,6 +216,45 @@ TEST(Cli, TinyGridsPrintSeedAndCsvHeader) {
     EXPECT_EQ(r.out.substr(0, header.size()), header) << args;
     EXPECT_GT(r.out.size(), header.size()) << args;
   }
+}
+
+/// Write a schedule file into the test's scratch space; returns its path.
+std::string schedule_file(const std::string& name, const std::string& body) {
+  const std::string path = scratch(name);
+  std::ofstream(path) << body;
+  return path;
+}
+
+// A round that is not a matching is an invalid schedule for simulate, as it
+// is for audit; it is never executed in arc order.
+TEST(Cli, SimulateRejectsRoundsThatAreNotMatchings) {
+  const std::string path = schedule_file(
+      "chain.txt",
+      "sysgo-schedule v1\nn 4 mode half period 2\n"
+      "round 1: 0>1 1>2\nround 2: 2>3 3>0\n");
+  for (const std::string cmd : {"simulate", "audit"})
+    expect_rejected(cmd + " '" + path + "'", "invalid schedule: ");
+  std::remove(path.c_str());
+}
+
+// A bad kernel override is an error message, not an abort, on every path
+// that simulates.
+TEST(Cli, SimulateReportsAnUnknownForcedKernel) {
+  const std::string path = schedule_file(
+      "cycle.txt",
+      "sysgo-schedule v1\nn 4 mode full period 2\n"
+      "round 1: 0>1 1>0 2>3 3>2\nround 2: 1>2 2>1 3>0 0>3\n");
+  const CliResult ok = sysgo("simulate '" + path + "'");
+  EXPECT_EQ(ok.code, 0) << ok.err;
+  EXPECT_EQ(ok.out, "gossip complete after 2 rounds\n");
+  const CliResult bad =
+      sysgo("simulate '" + path + "'", "SYSGO_FORCE_KERNEL=bogus");
+  EXPECT_EQ(bad.code, 1) << bad.err;
+  EXPECT_TRUE(contains(
+      bad.err, "error: SYSGO_FORCE_KERNEL: unknown kernel 'bogus'"))
+      << bad.err;
+  EXPECT_EQ(bad.out, "");
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -2,24 +2,38 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+
 #include "protocol/classic_protocols.hpp"
-#include "topology/classic.hpp"
+#include "reference_gossip.hpp"
+#include "simulator/batch.hpp"
 
 namespace sysgo::simulator {
 namespace {
 
+using protocol::CompiledSchedule;
 using protocol::Mode;
 using protocol::Protocol;
-using protocol::Round;
+
+/// A finite protocol's gossip time over its own length.
+int protocol_time(const Protocol& p) {
+  return gossip_time(CompiledSchedule::compile(p), p.length());
+}
+
+/// Items known summed over all vertices after the first `cap` rounds.
+std::int64_t coverage_after(const Protocol& p, int cap) {
+  GossipArena arena;
+  return arena.run(CompiledSchedule::compile(p), cap, /*coverage=*/true)
+      .coverage;
+}
 
 TEST(GossipSim, TwoVerticesHalfDuplexNeedsTwoRounds) {
   Protocol p;
   p.n = 2;
   p.mode = Mode::kHalfDuplex;
   p.rounds = {{{{0, 1}}}, {{{1, 0}}}};
-  const auto res = run_gossip(p);
-  EXPECT_TRUE(res.complete);
-  EXPECT_EQ(res.completion_round, 2);
+  EXPECT_EQ(protocol_time(p), 2);
 }
 
 TEST(GossipSim, TwoVerticesFullDuplexNeedsOneRound) {
@@ -27,9 +41,7 @@ TEST(GossipSim, TwoVerticesFullDuplexNeedsOneRound) {
   p.n = 2;
   p.mode = Mode::kFullDuplex;
   p.rounds = {{{{0, 1}, {1, 0}}}};
-  const auto res = run_gossip(p);
-  EXPECT_TRUE(res.complete);
-  EXPECT_EQ(res.completion_round, 1);
+  EXPECT_EQ(protocol_time(p), 1);
 }
 
 TEST(GossipSim, IncompleteProtocolReported) {
@@ -37,10 +49,8 @@ TEST(GossipSim, IncompleteProtocolReported) {
   p.n = 3;
   p.mode = Mode::kHalfDuplex;
   p.rounds = {{{{0, 1}}}};
-  const auto res = run_gossip(p);
-  EXPECT_FALSE(res.complete);
-  EXPECT_EQ(res.final_counts[1], 2);
-  EXPECT_EQ(res.final_counts[2], 1);
+  EXPECT_EQ(protocol_time(p), -1);
+  EXPECT_EQ(coverage_after(p, 1), 1 + 2 + 1);  // vertex 1 learned item 0
 }
 
 TEST(GossipSim, HalfDuplexRoundSemantics) {
@@ -49,41 +59,19 @@ TEST(GossipSim, HalfDuplexRoundSemantics) {
   p.n = 3;
   p.mode = Mode::kHalfDuplex;
   p.rounds = {{{{0, 1}}}, {{{1, 2}}}};
-  const auto res = run_gossip(p);
-  EXPECT_TRUE(res.final_counts[2] >= 2);  // knows items 1 and 2 at least
-  KnowledgeMatrix k(3);
-  apply_round(k, p.rounds[0], Mode::kHalfDuplex);
-  EXPECT_TRUE(k.knows(1, 0));
-  EXPECT_FALSE(k.knows(2, 0));
-  apply_round(k, p.rounds[1], Mode::kHalfDuplex);
-  EXPECT_TRUE(k.knows(2, 0));
+  EXPECT_EQ(coverage_after(p, 1), 1 + 2 + 1);
+  EXPECT_EQ(coverage_after(p, 2), 1 + 2 + 3);
 }
 
 TEST(GossipSim, FullDuplexPairSwapsKnowledge) {
-  KnowledgeMatrix k(4);
-  k.learn(0, 2);
-  protocol::Round r{{{0, 1}, {1, 0}}};
-  apply_round(k, r, Mode::kFullDuplex);
-  EXPECT_TRUE(k.knows(1, 0));
-  EXPECT_TRUE(k.knows(1, 2));
-  EXPECT_TRUE(k.knows(0, 1));
-}
-
-TEST(GossipSim, TrackCompletionRecordsRounds) {
-  const auto sched = protocol::path_schedule(5, Mode::kHalfDuplex);
-  const auto p = sched.expand(60);
-  GossipOptions opts;
-  opts.track_completion = true;
-  const auto res = run_gossip(p, opts);
-  ASSERT_TRUE(res.complete);
-  ASSERT_EQ(res.vertex_completion.size(), 5u);
-  int max_completion = 0;
-  for (int v = 0; v < 5; ++v) {
-    EXPECT_GE(res.vertex_completion[static_cast<std::size_t>(v)], 1);
-    max_completion =
-        std::max(max_completion, res.vertex_completion[static_cast<std::size_t>(v)]);
-  }
-  EXPECT_EQ(max_completion, res.completion_round);
+  // Q2 as two full-duplex rounds: each pair exchange doubles both rows.
+  Protocol p;
+  p.n = 4;
+  p.mode = Mode::kFullDuplex;
+  p.rounds = {{{{0, 1}, {1, 0}, {2, 3}, {3, 2}}},
+              {{{0, 2}, {2, 0}, {1, 3}, {3, 1}}}};
+  EXPECT_EQ(coverage_after(p, 1), 4 * 2);
+  EXPECT_EQ(protocol_time(p), 2);
 }
 
 TEST(GossipSim, EarlyExitOnceComplete) {
@@ -91,9 +79,7 @@ TEST(GossipSim, EarlyExitOnceComplete) {
   p.n = 2;
   p.mode = Mode::kFullDuplex;
   for (int i = 0; i < 50; ++i) p.rounds.push_back({{{0, 1}, {1, 0}}});
-  const auto res = run_gossip(p);
-  EXPECT_TRUE(res.complete);
-  EXPECT_EQ(res.rounds_executed, 1);
+  EXPECT_EQ(protocol_time(p), 1);
 }
 
 TEST(GossipSim, ParallelMatchesSerial) {
@@ -116,54 +102,36 @@ TEST(GossipSim, GossipTimeReturnsMinusOneWhenStuck) {
   sched.mode = Mode::kHalfDuplex;
   sched.period = {{{{0, 1}}}};  // vertex 2 never participates
   EXPECT_EQ(gossip_time(sched, 50), -1);
-  EXPECT_EQ(gossip_time(protocol::CompiledSchedule::compile(sched), 50), -1);
+  EXPECT_EQ(gossip_time(CompiledSchedule::compile(sched), 50), -1);
 }
 
-// The compiled execution path must be result-identical to the legacy
-// arc-list walk: same gossip times, same per-vertex completion rounds,
-// serial or parallel.
-TEST(GossipSim, CompiledMatchesLegacyExecution) {
-  const std::vector<protocol::SystolicSchedule> corpus = {
-      protocol::path_schedule(6, Mode::kHalfDuplex),
-      protocol::cycle_schedule(7, Mode::kHalfDuplex),
-      protocol::hypercube_schedule(4, Mode::kFullDuplex),
-      protocol::hypercube_schedule(5, Mode::kHalfDuplex),
-  };
-  for (const auto& sched : corpus) {
-    const auto cs = protocol::CompiledSchedule::compile(sched);
-    const int legacy = gossip_time(sched, 1 << 12);
-    ASSERT_GT(legacy, 0);
-    EXPECT_EQ(gossip_time(cs, 1 << 12), legacy);
-    GossipOptions par;
-    par.parallel = true;
-    EXPECT_EQ(gossip_time(cs, 1 << 12, par), legacy);
-
-    const auto p = sched.expand(legacy);
-    GossipOptions track;
-    track.track_completion = true;
-    const auto want = run_gossip(p, track);
-    const auto got = run_gossip(protocol::CompiledSchedule::compile(p), track);
-    EXPECT_EQ(got.complete, want.complete);
-    EXPECT_EQ(got.rounds_executed, want.rounds_executed);
-    EXPECT_EQ(got.completion_round, want.completion_round);
-    EXPECT_EQ(got.vertex_completion, want.vertex_completion);
-    EXPECT_EQ(got.final_counts, want.final_counts);
+// The authoring-format overload is compile-then-run: the reference run's
+// times over the authored period, and a round that is not a matching is
+// rejected rather than executed in arc order.
+TEST(GossipSim, ScheduleOverloadCompilesFirst) {
+  for (const auto& sched : {protocol::path_schedule(6, Mode::kHalfDuplex),
+                            protocol::cycle_schedule(7, Mode::kHalfDuplex),
+                            protocol::hypercube_schedule(4, Mode::kFullDuplex),
+                            protocol::hypercube_schedule(5, Mode::kHalfDuplex)}) {
+    const int t = gossip_time(sched, 1 << 12);
+    ASSERT_GT(t, 0);
+    EXPECT_EQ(reference_gossip(sched.n, sched.period, /*periodic=*/true,
+                               1 << 12)
+                  .rounds,
+              t);
   }
-}
-
-TEST(GossipSim, CompiledRunGossipRejectsPeriodicSchedules) {
-  // One period is not a run: periodic compiled schedules go through
-  // gossip_time, finite protocols through run_gossip.
-  const auto sched = protocol::path_schedule(4, Mode::kHalfDuplex);
-  EXPECT_THROW((void)run_gossip(protocol::CompiledSchedule::compile(sched)),
-               std::invalid_argument);
+  protocol::SystolicSchedule chain;
+  chain.n = 4;
+  chain.mode = Mode::kHalfDuplex;
+  chain.period = {{{{0, 1}, {1, 2}}}, {{{2, 3}, {3, 0}}}};
+  EXPECT_THROW((void)gossip_time(chain, 50), std::invalid_argument);
 }
 
 TEST(GossipSim, CompiledFiniteProtocolStopsAtItsLength) {
   // A finite compiled protocol never executes past round_count(), even
   // when max_rounds asks for more.
   const auto p = protocol::path_schedule(5, Mode::kHalfDuplex).expand(3);
-  const auto cs = protocol::CompiledSchedule::compile(p);
+  const auto cs = CompiledSchedule::compile(p);
   EXPECT_EQ(gossip_time(cs, 1 << 12), -1);  // 3 rounds cannot finish P5
 }
 

@@ -1,8 +1,7 @@
-// Differential suite for the SIMD row kernels and everything built on them:
+// Kernel dispatch and the consumers built on the kernel table (the
+// slice_step8 kernels themselves are diffed in test_slice_engine.cpp):
 //
-//   * raw kernels vs an independent scalar reference at row widths 1..512
-//     bits (every tail-word shape), random densities, all supported ISAs;
-//   * the 64-byte row-alignment guarantee of KnowledgeMatrix, n = 1..200;
+//   * the dispatch table's names and unsupported-kernel errors;
 //   * the reusable gossip arena vs per-call gossip_time over the
 //     paper-figure corpus plus seeded random members;
 //   * DraftEvaluator / evaluate_batch vs the one-shot compile-then-evaluate
@@ -13,10 +12,9 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
-#include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "protocol/builders.hpp"
@@ -24,7 +22,6 @@
 #include "simulator/batch.hpp"
 #include "simulator/broadcast_sim.hpp"
 #include "simulator/gossip_sim.hpp"
-#include "simulator/knowledge.hpp"
 #include "synth/draft.hpp"
 #include "synth/objective.hpp"
 #include "topology/topology.hpp"
@@ -39,35 +36,6 @@ std::vector<KernelKind> supported_kernels() {
     if (kernel_supported(static_cast<KernelKind>(k)))
       ks.push_back(static_cast<KernelKind>(k));
   return ks;
-}
-
-// Independent scalar reference (deliberately re-implemented here, not a
-// call into the scalar kernel, so the test cannot share a bug with it).
-int ref_merge(std::vector<std::uint64_t>& dst,
-              const std::vector<std::uint64_t>& src) {
-  int added = 0;
-  for (std::size_t w = 0; w < dst.size(); ++w) {
-    added += std::popcount(src[w] & ~dst[w]);
-    dst[w] |= src[w];
-  }
-  return added;
-}
-
-/// Random row of `bits` logical bits: density cycles through sparse
-/// (AND of two draws), uniform, and dense (OR of two draws); bits past the
-/// width are cleared so every tail-word shape is exercised.
-std::vector<std::uint64_t> random_row(int bits, int density, util::Rng& rng) {
-  std::uniform_int_distribution<std::uint64_t> dist;
-  const std::size_t words = (static_cast<std::size_t>(bits) + 63) / 64;
-  std::vector<std::uint64_t> row(words);
-  for (auto& w : row) {
-    w = dist(rng.engine());
-    if (density == 0) w &= dist(rng.engine());
-    if (density == 2) w |= dist(rng.engine());
-  }
-  if (bits % 64 != 0)
-    row.back() &= (std::uint64_t{1} << (bits % 64)) - 1;
-  return row;
 }
 
 TEST(Kernels, ScalarAlwaysSupported) {
@@ -88,79 +56,6 @@ TEST(Kernels, UnsupportedKernelTableThrows) {
     if (!kernel_supported(kind)) {
       EXPECT_THROW(static_cast<void>(kernel_table(kind)), std::runtime_error);
     }
-  }
-}
-
-// The heart of the suite: every width 1..512 bits x three densities, each
-// supported kernel against the reference, both operations.
-TEST(Kernels, DifferentialAllWidthsAllKernels) {
-  const auto kernels_to_test = supported_kernels();
-  ASSERT_FALSE(kernels_to_test.empty());
-  util::Rng rng(0x5eedULL ^ 0x9e3779b97f4a7c15ULL);
-  for (int bits = 1; bits <= 512; ++bits) {
-    const int density = bits % 3;
-    const auto dst0 = random_row(bits, density, rng);
-    const auto src = random_row(bits, 2 - density, rng);
-    // Reference results.
-    auto ref_dst = dst0;
-    const int ref_added = ref_merge(ref_dst, src);
-    auto ref_a = dst0;
-    auto ref_b = src;
-    const auto a0 = ref_a;
-    const int ref_da = ref_merge(ref_a, ref_b);
-    const int ref_db = ref_merge(ref_b, a0);
-
-    for (const KernelKind kind : kernels_to_test) {
-      const RowKernels& k = kernel_table(kind);
-      auto dst = dst0;
-      EXPECT_EQ(k.merge_delta(dst.data(), src.data(), dst.size()), ref_added)
-          << kernel_name(kind) << " bits=" << bits;
-      EXPECT_EQ(dst, ref_dst) << kernel_name(kind) << " bits=" << bits;
-
-      auto a = dst0;
-      auto b = src;
-      int deltas[2] = {-1, -1};
-      k.merge_both_delta(a.data(), b.data(), a.size(), deltas);
-      EXPECT_EQ(deltas[0], ref_da) << kernel_name(kind) << " bits=" << bits;
-      EXPECT_EQ(deltas[1], ref_db) << kernel_name(kind) << " bits=" << bits;
-      EXPECT_EQ(a, ref_a) << kernel_name(kind) << " bits=" << bits;
-      EXPECT_EQ(b, ref_b) << kernel_name(kind) << " bits=" << bits;
-    }
-  }
-}
-
-// Self-merge must be a no-op with delta 0 (merge_into(v, v) semantics).
-TEST(Kernels, SelfMergeGainsNothing) {
-  util::Rng rng(42);
-  for (const KernelKind kind : supported_kernels()) {
-    const RowKernels& k = kernel_table(kind);
-    auto row = random_row(300, 1, rng);
-    const auto before = row;
-    EXPECT_EQ(k.merge_delta(row.data(), row.data(), row.size()), 0);
-    EXPECT_EQ(row, before);
-  }
-}
-
-TEST(Knowledge, RowsAre64ByteAlignedForAllSmallN) {
-  for (int n = 1; n <= 200; ++n) {
-    const KnowledgeMatrix k(n);
-    for (int v = 0; v < n; ++v) {
-      const auto addr = reinterpret_cast<std::uintptr_t>(k.row(v).data());
-      ASSERT_EQ(addr % 64, 0u) << "n=" << n << " v=" << v;
-      ASSERT_EQ(k.row(v).size(), k.words()) << "n=" << n;
-    }
-  }
-}
-
-TEST(Knowledge, ResetRestoresIdentityState) {
-  KnowledgeMatrix k(70);
-  k.merge_both(0, 69);
-  k.learn(3, 50);
-  k.reset();
-  EXPECT_FALSE(k.all_full());
-  for (int v = 0; v < 70; ++v) {
-    EXPECT_EQ(k.count(v), 1);
-    for (int i = 0; i < 70; ++i) EXPECT_EQ(k.knows(v, i), v == i);
   }
 }
 

@@ -3,9 +3,12 @@
 // consistent with the full knowledge-set view.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "protocol/builders.hpp"
+#include "protocol/compiled.hpp"
+#include "simulator/batch.hpp"
 #include "simulator/broadcast_sim.hpp"
-#include "simulator/gossip_sim.hpp"
 #include "topology/classic.hpp"
 #include "topology/de_bruijn.hpp"
 #include "topology/kautz.hpp"
@@ -34,18 +37,17 @@ TEST_P(SimProperty, KnowledgeInvariants) {
   const auto p = protocol::random_protocol(g, 20, mode, rng);
   ASSERT_TRUE(protocol::validate_structure(p, &g).ok);
 
-  // Step manually and check monotone growth, bounds, and self-knowledge.
-  KnowledgeMatrix know(p.n);
-  std::vector<int> prev(static_cast<std::size_t>(p.n), 1);
-  for (const auto& round : p.rounds) {
-    apply_round(know, round, mode);
-    for (int v = 0; v < p.n; ++v) {
-      const int c = know.count(v);
-      EXPECT_GE(c, prev[static_cast<std::size_t>(v)]);  // monotone
-      EXPECT_LE(c, p.n);
-      EXPECT_TRUE(know.knows(v, v));  // own item never lost
-      prev[static_cast<std::size_t>(v)] = c;
-    }
+  // Coverage after each prefix of rounds starts at n (every vertex holds
+  // its own item), never shrinks, and never exceeds n².
+  const auto cs = protocol::CompiledSchedule::compile(p);
+  const std::int64_t n = p.n;
+  GossipArena arena;
+  std::int64_t prev = n;
+  for (int cap = 0; cap <= p.length(); ++cap) {
+    const std::int64_t c = arena.run(cs, cap, /*coverage=*/true).coverage;
+    EXPECT_GE(c, prev) << "cap=" << cap;  // monotone
+    EXPECT_LE(c, n * n) << "cap=" << cap;
+    prev = c;
   }
 }
 
@@ -55,19 +57,17 @@ TEST_P(SimProperty, BroadcastViewMatchesKnowledgeView) {
   const auto mode = GetParam() % 2 == 0 ? Mode::kFullDuplex : Mode::kHalfDuplex;
   const auto p = protocol::random_protocol(g, 16, mode, rng);
 
-  const auto res = run_gossip(p);
-  // final_counts[v] must equal the number of sources whose item reached v.
-  std::vector<int> reached(static_cast<std::size_t>(p.n), 0);
-  for (int src = 0; src < p.n; ++src) {
-    const auto reach = broadcast_reach(p, src);
-    for (int v = 0; v < p.n; ++v)
-      if (reach[static_cast<std::size_t>(v)] != -1)
-        ++reached[static_cast<std::size_t>(v)];
-  }
-  for (int v = 0; v < p.n; ++v)
-    EXPECT_EQ(res.final_counts[static_cast<std::size_t>(v)],
-              reached[static_cast<std::size_t>(v)])
-        << "v=" << v;
+  // The engine's coverage must equal the number of (source, vertex) pairs
+  // whose item arrived, counted one broadcast at a time.
+  std::int64_t reached = 0;
+  for (int src = 0; src < p.n; ++src)
+    for (const int t : broadcast_reach(p, src)) reached += t != -1 ? 1 : 0;
+  GossipArena arena;
+  EXPECT_EQ(arena
+                .run(protocol::CompiledSchedule::compile(p), p.length(),
+                     /*coverage=*/true)
+                .coverage,
+            reached);
 }
 
 TEST_P(SimProperty, ReachTimesRespectRoundOrdering) {

@@ -1,5 +1,5 @@
 // Differential suite for the slice-major gossip engine (simulator/batch.hpp)
-// against the row-major KnowledgeMatrix round loop, which stays the oracle:
+// against the snapshot-semantics reference run (reference_gossip.hpp):
 //
 //   * the slice_step8 kernels vs an independent reference step, every
 //     supported ISA, full and partial masks, pre-full rows;
@@ -23,7 +23,7 @@
 #include "protocol/compiled.hpp"
 #include "simulator/gossip_sim.hpp"
 #include "simulator/kernels.hpp"
-#include "simulator/knowledge.hpp"
+#include "reference_gossip.hpp"
 #include "topology/topology.hpp"
 #include "util/aligned.hpp"
 #include "util/rng.hpp"
@@ -122,34 +122,11 @@ TEST(SliceStep, EveryKernelMatchesReference) {
 
 // ------------------------------------------------------- whole-run oracle
 
-struct Outcome {
-  int rounds;
-  std::int64_t coverage;
-};
-
-/// The row-major KnowledgeMatrix loop: completion round (or -1) and the
-/// items known summed over vertices at the end.
-Outcome reference_run(const CompiledSchedule& cs, int max_rounds) {
-  KnowledgeMatrix know(cs.n());
-  const std::int64_t n = cs.n();
-  if (know.all_full()) return {0, n * n};
-  if (!cs.periodic()) max_rounds = std::min(max_rounds, cs.round_count());
-  int r = 0;
-  for (int i = 1; i <= max_rounds; ++i) {
-    apply_round(know, cs, r);
-    if (know.all_full()) return {i, n * n};
-    if (++r == cs.round_count()) r = 0;
-  }
-  std::int64_t covered = 0;
-  for (int v = 0; v < cs.n(); ++v) covered += know.count(v);
-  return {-1, covered};
-}
-
 /// Engine against the oracle at `cap`: gossip_time, the coverage run, and
 /// both again on the pool.
 void expect_matches(const CompiledSchedule& cs, int cap,
                     const std::string& what) {
-  const Outcome want = reference_run(cs, cap);
+  const ReferenceOutcome want = reference_gossip(cs, cap);
   GossipArena arena;
   EXPECT_EQ(gossip_time(cs, cap), want.rounds) << what;
   const GossipOutcome got = arena.run(cs, cap, /*coverage=*/true);
@@ -169,7 +146,7 @@ void expect_matches_around_completion(const CompiledSchedule& cs,
                                       const std::string& what) {
   constexpr int kCap = 1 << 12;
   expect_matches(cs, kCap, what);
-  const int t = reference_run(cs, kCap).rounds;
+  const int t = reference_gossip(cs, kCap).rounds;
   if (t > 0) {
     expect_matches(cs, t, what + " cap=t");
     expect_matches(cs, t - 1, what + " cap=t-1");
@@ -206,7 +183,7 @@ std::string mode_name(Mode mode) {
   return mode == Mode::kFullDuplex ? " full" : " half";
 }
 
-TEST(SliceEngine, MatchesKnowledgeMatrixOnEveryFamily) {
+TEST(SliceEngine, MatchesReferenceOnEveryFamily) {
   using topology::Family;
   const std::vector<std::tuple<Family, int, int>> members = {
       {Family::kButterfly, 2, 3},
@@ -261,7 +238,7 @@ TEST(SliceEngine, MatchesAtSliceEdges) {
     for (const Mode mode : {Mode::kHalfDuplex, Mode::kFullDuplex}) {
       const auto cs = random_matchings(n, 4 + n % 3, mode, rng);
       if (n > 1) {
-        ASSERT_GT(reference_run(cs, 1 << 12).rounds, 0) << "n=" << n;
+        ASSERT_GT(reference_gossip(cs, 1 << 12).rounds, 0) << "n=" << n;
       }
       expect_matches_around_completion(
           cs, "K_" + std::to_string(n) + mode_name(mode));
@@ -292,10 +269,10 @@ TEST(SliceEngine, FiniteProtocolsStopAtTheirLength) {
                                  ") t=" + std::to_string(t) + mode_name(mode);
         expect_matches(cs, 1 << 12, what);
         expect_matches(cs, t / 2, what + " cap=t/2");
-        const GossipResult ref = run_gossip(p);
-        EXPECT_EQ(gossip_time(cs, 1 << 12),
-                  ref.complete ? ref.completion_round : -1)
-            << what;
+        // The protocol's own rounds, not the compiled ones.
+        const ReferenceOutcome ref =
+            reference_gossip(p.n, p.rounds, /*periodic=*/false, 1 << 12);
+        EXPECT_EQ(gossip_time(cs, 1 << 12), ref.rounds) << what;
       }
     }
   }
@@ -365,8 +342,8 @@ TEST(SliceEngine, ScratchIsOneSlicePerLane) {
   }
 }
 
-TEST(SliceEngine, HeavyMatchesKnowledgeMatrixOnKautz14) {
-  // n = 24,576: the oracle streams a 72 MB matrix per round.
+TEST(SliceEngine, HeavyMatchesReferenceOnKautz14) {
+  // n = 24,576: the oracle copies and streams a 72 MB state per round.
   if (std::getenv("SYSGO_HEAVY_TESTS") == nullptr)
     GTEST_SKIP() << "set SYSGO_HEAVY_TESTS=1 to run";
   const graph::Digraph g =

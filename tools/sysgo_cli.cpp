@@ -811,14 +811,21 @@ int cmd_store(int argc, char** argv) {
   return usage();
 }
 
+/// Parse a schedule file and check that every round is a matching of its
+/// mode; false (after printing the reason) when it is not.
+bool load_valid_schedule(const char* path,
+                         sysgo::protocol::SystolicSchedule& sched) {
+  sched = sysgo::io::parse_schedule(read_file(path));
+  const auto valid = sysgo::protocol::validate_structure(sched);
+  if (!valid.ok)
+    std::fprintf(stderr, "invalid schedule: %s\n", valid.message.c_str());
+  return valid.ok;
+}
+
 int cmd_audit(int argc, char** argv) {
   if (argc != 1) return usage();
-  const auto sched = sysgo::io::parse_schedule(read_file(argv[0]));
-  const auto valid = sysgo::protocol::validate_structure(sched);
-  if (!valid.ok) {
-    std::fprintf(stderr, "invalid schedule: %s\n", valid.message.c_str());
-    return 1;
-  }
+  sysgo::protocol::SystolicSchedule sched;
+  if (!load_valid_schedule(argv[0], sched)) return 1;
   const auto res = sysgo::core::audit_schedule(sched);
   std::printf("n=%d period=%d lambda*=%.6f e=%.4f certified-rounds>=%d "
               "worst-vertex=%d\n",
@@ -829,7 +836,8 @@ int cmd_audit(int argc, char** argv) {
 
 int cmd_simulate(int argc, char** argv) {
   if (argc < 1 || argc > 2) return usage();
-  const auto sched = sysgo::io::parse_schedule(read_file(argv[0]));
+  sysgo::protocol::SystolicSchedule sched;
+  if (!load_valid_schedule(argv[0], sched)) return 1;
   const int max_rounds =
       argc >= 2
           ? sysgo::util::parse_int_in(argv[1], "max-rounds", {1, 1 << 30})
