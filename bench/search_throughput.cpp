@@ -14,7 +14,6 @@
 
 namespace {
 
-using sysgo::search::Algorithm;
 using sysgo::search::Problem;
 using sysgo::search::SolveOptions;
 using sysgo::protocol::Mode;
@@ -104,22 +103,6 @@ BENCHMARK(BM_SolveParallelBfs)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-
-void BM_IterativeDeepening(benchmark::State& state) {
-  const auto g = sysgo::topology::cycle(static_cast<int>(state.range(0)));
-  SolveOptions opts;
-  opts.mode = Mode::kFullDuplex;
-  opts.algorithm = Algorithm::kIterativeDeepening;
-  opts.threads = 1;
-  for (auto _ : state) {
-    const auto res = sysgo::search::solve(g, opts);
-    benchmark::DoNotOptimize(res);
-  }
-}
-BENCHMARK(BM_IterativeDeepening)
-    ->Name("search/cycle_full_duplex_idbb")
-    ->DenseRange(8, 12, 2)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

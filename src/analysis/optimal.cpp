@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "search/solver.hpp"
-
 namespace sysgo::analysis {
 namespace {
 
@@ -97,23 +95,6 @@ std::vector<Round> maximal_matchings(const graph::Digraph& g, Mode mode) {
   else
     enumerate_half_duplex(g, 0, 0, current, out);
   return prune_to_maximal(std::move(out));
-}
-
-OptimalResult optimal_gossip(const graph::Digraph& g, Mode mode, int max_rounds,
-                             std::size_t max_states) {
-  search::SolveOptions opts;
-  opts.problem = search::Problem::kGossip;
-  opts.mode = mode;
-  opts.max_rounds = max_rounds;
-  opts.max_states = max_states;
-  opts.want_witness = true;  // serial parent-tracking BFS
-  auto sr = search::solve(g, opts);
-  OptimalResult res;
-  res.rounds = sr.rounds;
-  res.states_explored = sr.states_explored;
-  res.budget_exhausted = sr.budget_exhausted;
-  res.witness = std::move(sr.witness);
-  return res;
 }
 
 }  // namespace sysgo::analysis

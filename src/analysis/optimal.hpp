@@ -1,13 +1,5 @@
-// Exact optimal gossip for small networks — thin wrapper over the
-// exact-search subsystem.
-//
-// Historically this header hosted a serial BFS over knowledge states packed
-// into a single 64-bit key (n <= 8, practical to n <= 6).  That search now
-// lives in src/search/ as a symmetry-reduced, bound-pruned, frontier-
-// parallel solver handling n <= 12 and broadcast as well as gossip; see
-// search/solver.hpp.  optimal_gossip() remains as the witness-producing
-// convenience entry point, and maximal_matchings() as the shared move
-// generator.
+// Maximal matchings of a network: the move generator of the exact search
+// (search/solver.hpp), which computes the optima and witness protocols.
 #pragma once
 
 #include <cstdint>
@@ -30,24 +22,5 @@ namespace sysgo::analysis {
 /// counts and rebuilt graphs.
 [[nodiscard]] std::vector<protocol::Round> maximal_matchings(
     const graph::Digraph& g, protocol::Mode mode);
-
-struct OptimalResult {
-  int rounds = -1;  // minimum gossip time, or -1 if unreachable in budget
-  std::size_t states_explored = 0;
-  bool budget_exhausted = false;  // search aborted after max_states
-  /// One optimal protocol (round sequence realizing the minimum).
-  std::vector<protocol::Round> witness;
-};
-
-/// Minimum gossip time over all protocols on g (n <= 12), with a witness
-/// protocol.  Delegates to search::solve with symmetry reduction on; the
-/// search aborts with budget_exhausted once max_states canonical knowledge
-/// states have been visited.  states_explored counts canonical states —
-/// orbit representatives — so it is smaller than the raw reachable count
-/// by up to a factor of |Aut(g)|.
-[[nodiscard]] OptimalResult optimal_gossip(const graph::Digraph& g,
-                                           protocol::Mode mode,
-                                           int max_rounds = 32,
-                                           std::size_t max_states = 20'000'000);
 
 }  // namespace sysgo::analysis

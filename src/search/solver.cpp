@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "analysis/optimal.hpp"
@@ -40,7 +38,6 @@ struct SearchMetrics {
   obs::Counter& expanded = obs::counter("search.states_expanded");
   obs::Counter& discovered = obs::counter("search.states_discovered");
   obs::Counter& deduped = obs::counter("search.states_deduped");
-  obs::Counter& idbb_nodes = obs::counter("search.idbb_nodes");
   // --perf: per-BFS-layer IPC / cache behavior (a layer whose IPC drops as
   // `visited` grows is the canonicalizer thrashing the cache).
   obs::perf::PerfRollup layer_perf{"search.layer"};
@@ -99,6 +96,37 @@ std::vector<Round> rebuild_witness(
     sigma = compose_perm(canon.perm(perm_index), sigma);
   }
   return witness;
+}
+
+/// Frontier states expanded between the searches' goal/budget checks.
+constexpr std::size_t kBatch = 2048;
+
+/// One optimal protocol, traced back from the goal of a finished BFS.
+/// layers[k] is the depth-k frontier in expansion order (layers[0] holds
+/// the root) and the goal was discovered from layers.back().  Walking back,
+/// step k takes the first state s of layers[k] and the first move m whose
+/// canonical successor is the current state, so the witness depends only
+/// on the layer order, never on which lane inserted a state first.
+/// step(s, m, &perm) is the canonical successor of s under m together with
+/// the index of a permutation mapping the raw successor onto it.
+template <class S, class Step>
+std::vector<Round> trace_back(const std::vector<std::vector<S>>& layers,
+                              S cur, const std::vector<Round>& moves,
+                              const Canonicalizer& canon, int n, Step step) {
+  std::vector<std::pair<int, std::size_t>> steps(layers.size());
+  for (std::size_t k = layers.size(); k-- > 0;) {
+    bool found = false;
+    for (std::size_t i = 0; i < layers[k].size() && !found; ++i)
+      for (std::size_t m = 0; m < moves.size() && !found; ++m) {
+        std::size_t perm = 0;
+        if (step(layers[k][i], moves[m], &perm) == cur) {
+          steps[k] = {static_cast<int>(m), perm};
+          cur = layers[k][i];
+          found = true;
+        }
+      }
+  }
+  return rebuild_witness(steps, moves, canon, n);
 }
 
 // -------------------------------------------------------------- heuristic
@@ -219,59 +247,6 @@ struct Heuristic {
 
 // ------------------------------------------------------------- BFS: gossip
 
-/// Serial BFS with parent tracking, used when a witness is requested.
-void gossip_bfs_witness(const std::vector<Round>& moves, Mode mode,
-                        const Canonicalizer& canon, int n,
-                        const SolveOptions& opts, SolveResult& res) {
-  const State root = initial_gossip_state(n);
-  const State goal = gossip_goal_state(n);
-  struct ParentInfo {
-    State parent;
-    int move = -1;
-    std::size_t perm = 0;
-  };
-  std::unordered_map<State, ParentInfo, StateHash> parents;
-  parents.emplace(root, ParentInfo{root, -1, 0});
-  std::vector<State> frontier{root};
-  for (int depth = 1; depth <= opts.max_rounds && !frontier.empty(); ++depth) {
-    std::vector<State> next;
-    for (const State& s : frontier) {
-      for (std::size_t m = 0; m < moves.size(); ++m) {
-        State t = apply_round(s, moves[m], mode);
-        if (t == s) continue;
-        std::size_t perm_index;
-        t = canon.canonical(t, &perm_index);
-        if (!parents.emplace(t, ParentInfo{s, static_cast<int>(m), perm_index})
-                 .second)
-          continue;
-        if (t == goal) {
-          res.rounds = depth;
-          res.states_explored = parents.size();
-          // Walk goal -> root, then rebuild forward.
-          std::vector<std::pair<int, std::size_t>> steps;
-          State cur = t;
-          while (cur != root) {
-            const auto& info = parents.at(cur);
-            steps.emplace_back(info.move, info.perm);
-            cur = info.parent;
-          }
-          std::reverse(steps.begin(), steps.end());
-          res.witness = rebuild_witness(steps, moves, canon, n);
-          return;
-        }
-        if (parents.size() >= opts.max_states) {
-          res.budget_exhausted = true;
-          res.states_explored = parents.size();
-          return;
-        }
-        next.push_back(t);
-      }
-    }
-    frontier = std::move(next);
-  }
-  res.states_explored = parents.size();
-}
-
 /// Frontier-parallel BFS.  Rounds and states_explored are independent of
 /// the thread count: the frontier is sorted between layers, expansion runs
 /// in fixed-size batches, and goal/budget checks happen only at batch
@@ -294,7 +269,7 @@ void gossip_bfs(const std::vector<Round>& moves, Mode mode,
   ShardedStateSet visited;
   visited.insert(root);
   std::vector<State> frontier{root};
-  constexpr std::size_t kBatch = 2048;
+  std::vector<std::vector<State>> layers;  // witness runs only
   constexpr std::size_t kChunk = 64;  // states per task: one lock per chunk
 
   for (int depth = 1; depth <= opts.max_rounds && !frontier.empty(); ++depth) {
@@ -373,6 +348,7 @@ void gossip_bfs(const std::vector<Round>& moves, Mode mode,
     if (layer_span.armed())
       layer_span.arg(obs::trace::intern("visited"),
                      static_cast<std::int64_t>(visited.size()));
+    if (opts.want_witness) layers.push_back(std::move(frontier));
     if (stop) break;
     // Sorting makes the next layer's batch boundaries (and therefore any
     // mid-layer stop) identical for every thread count.
@@ -380,144 +356,64 @@ void gossip_bfs(const std::vector<Round>& moves, Mode mode,
     frontier = std::move(next);
   }
   res.states_explored = visited.size();
-}
-
-// -------------------------------------------------- iterative deepening
-
-struct DeepeningSearch {
-  const std::vector<Round>& moves;
-  Mode mode;
-  const Canonicalizer& canon;
-  const Heuristic& heur;
-  State goal;
-  std::size_t max_states;
-
-  StateBudgetMap table{};
-  std::size_t nodes = 0;
-  bool exhausted = false;
-  std::vector<std::pair<int, std::size_t>> path{};  // (move, perm) per level
-
-  /// True when the goal is reachable from canonical state s in at most
-  /// `remaining` further rounds (s != goal).
-  bool dfs(const State& s, int remaining) {
-    if (remaining <= 0) return false;
-    if (heur.gossip_h(s) > remaining) return false;
-    if (table.failed_budget(s) >= remaining) return false;
-    if (++nodes > max_states) {
-      exhausted = true;
-      return false;
-    }
-    for (std::size_t m = 0; m < moves.size(); ++m) {
-      State t = apply_round(s, moves[m], mode);
-      if (t == s) continue;
-      std::size_t perm_index;
-      t = canon.canonical(t, &perm_index);
-      path.emplace_back(static_cast<int>(m), perm_index);
-      if (t == goal || dfs(t, remaining - 1)) return true;
-      path.pop_back();
-      if (exhausted) return false;
-    }
-    table.record_failure(s, remaining);
-    return false;
-  }
-};
-
-void gossip_deepening(const std::vector<Round>& moves, Mode mode,
-                      const Canonicalizer& canon, const Heuristic& heur, int n,
-                      const SolveOptions& opts, SolveResult& res) {
-  const State root = initial_gossip_state(n);
-  const State goal = gossip_goal_state(n);
-  DeepeningSearch search{moves, mode, canon, heur, goal, opts.max_states};
-  // The transposition table persists across depth iterations: "budget b
-  // was insufficient from s" is limit-independent.
-  for (int limit = std::max(1, res.root_lower_bound);
-       limit <= opts.max_rounds; ++limit) {
-    search.path.clear();
-    if (search.dfs(root, limit)) {
-      res.rounds = limit;
-      if (opts.want_witness)
-        res.witness = rebuild_witness(search.path, moves, canon, n);
-      break;
-    }
-    if (search.exhausted) {
-      res.budget_exhausted = true;
-      break;
-    }
-  }
-  res.states_explored = search.nodes;
-  search_metrics().idbb_nodes.add(search.nodes);
+  if (opts.want_witness && res.rounds > 0)
+    res.witness = trace_back(
+        layers, goal, moves, canon, n,
+        [&](const State& s, const Round& m, std::size_t* perm) {
+          return canon.canonical(apply_round(s, m, mode), perm);
+        });
 }
 
 // ------------------------------------------------------------- broadcast
 
 /// Broadcast states are informed-vertex masks (2^n of them), canonicalized
 /// under the stabilizer of the source; the search is serial — the space is
-/// tiny — and trivially thread-count independent.
+/// tiny — and trivially thread-count independent.  The goal stops it at
+/// once; the state budget is checked at gossip_bfs's batch barriers.
 void broadcast_bfs(const std::vector<Round>& moves, const Canonicalizer& canon,
                    int n, const SolveOptions& opts, SolveResult& res) {
   const auto root = static_cast<std::uint16_t>(1u << opts.source);
   const auto goal = static_cast<std::uint16_t>((1u << n) - 1u);
-  const std::size_t space = std::size_t{1} << n;
-  std::vector<std::uint8_t> seen(space, 0);
-  struct ParentInfo {
-    std::uint16_t parent = 0;
-    int move = -1;
-    std::size_t perm = 0;
-  };
-  std::vector<ParentInfo> parents(opts.want_witness ? space : 0);
+  std::vector<std::uint8_t> seen(std::size_t{1} << n, 0);
   seen[root] = 1;
   std::size_t stored = 1;
+  std::vector<std::vector<std::uint16_t>> layers;  // witness runs only
   std::vector<std::uint16_t> frontier{root};
-  for (int depth = 1; depth <= opts.max_rounds && !frontier.empty(); ++depth) {
+  bool stop = false;
+  for (int depth = 1; depth <= opts.max_rounds && !frontier.empty() && !stop;
+       ++depth) {
     std::vector<std::uint16_t> next;
-    for (const std::uint16_t s : frontier) {
-      for (std::size_t m = 0; m < moves.size(); ++m) {
+    for (std::size_t i = 0; i < frontier.size() && !stop; ++i) {
+      const std::uint16_t s = frontier[i];
+      for (std::size_t m = 0; m < moves.size() && !stop; ++m) {
         std::uint16_t t = apply_round_mask(s, moves[m]);
         if (t == s) continue;
         t = canon.canonical_mask(t);
         if (seen[t]) continue;
         seen[t] = 1;
         ++stored;
-        if (opts.want_witness) {
-          // canonical_mask does not report its permutation; recover one
-          // lazily only when a witness is requested (n is tiny here).
-          std::size_t perm_index = 0;
-          const std::uint16_t raw = apply_round_mask(s, moves[m]);
-          for (std::size_t p = 0; p < canon.group_order(); ++p) {
-            std::uint16_t image = 0;
-            for (int v = 0; v < n; ++v)
-              if ((raw >> v) & 1u)
-                image = static_cast<std::uint16_t>(
-                    image | (1u << canon.perm(p)[static_cast<std::size_t>(v)]));
-            if (image == t) {
-              perm_index = p;
-              break;
-            }
-          }
-          parents[t] = {s, static_cast<int>(m), perm_index};
-        }
         if (t == goal) {
           res.rounds = depth;
-          res.states_explored = stored;
-          if (opts.want_witness) {
-            std::vector<std::pair<int, std::size_t>> steps;
-            std::uint16_t cur = t;
-            while (cur != root) {
-              const auto& info = parents[cur];
-              steps.emplace_back(info.move, info.perm);
-              cur = info.parent;
-            }
-            std::reverse(steps.begin(), steps.end());
-            res.witness = rebuild_witness(steps, moves, canon, n);
-          }
-          return;
+          stop = true;
         }
         next.push_back(t);
       }
+      if (!stop && ((i + 1) % kBatch == 0 || i + 1 == frontier.size()) &&
+          stored >= opts.max_states) {
+        res.budget_exhausted = true;
+        stop = true;
+      }
     }
+    if (opts.want_witness) layers.push_back(std::move(frontier));
     frontier = std::move(next);
   }
   res.states_explored = stored;
+  if (opts.want_witness && res.rounds > 0)
+    res.witness = trace_back(
+        layers, goal, moves, canon, n,
+        [&](std::uint16_t s, const Round& m, std::size_t* perm) {
+          return canon.canonical_mask(apply_round_mask(s, m), perm);
+        });
 }
 
 }  // namespace
@@ -569,15 +465,9 @@ SolveResult solve(const graph::Digraph& g, const SolveOptions& opts) {
   }
 
   res.root_lower_bound = heur.gossip_h(initial_gossip_state(n));
-  if (opts.algorithm == Algorithm::kIterativeDeepening) {
-    gossip_deepening(moves, opts.mode, canon, heur, n, opts, res);
-  } else if (opts.want_witness) {
-    gossip_bfs_witness(moves, opts.mode, canon, n, opts, res);
-  } else {
-    // threads == 1 runs the same batched loop serially, so counts and
-    // stopping points match the threaded runs exactly.
-    gossip_bfs(moves, opts.mode, canon, n, opts, res);
-  }
+  // threads == 1 runs the same batched loop serially, so counts and
+  // stopping points match the threaded runs exactly.
+  gossip_bfs(moves, opts.mode, canon, n, opts, res);
   return res;
 }
 

@@ -1,29 +1,28 @@
-// Exact optimal-protocol search: symmetry-reduced, bound-pruned, parallel.
+// Exact optimal-protocol search: symmetry-reduced, parallel.
 //
 // Computes the exact gossip or broadcast complexity of a concrete network
 // (n <= 12) in either duplex mode by searching the knowledge-state space
 // whose moves are the maximal matchings of the network
 // (analysis::maximal_matchings; restricting to maximal rounds is lossless
-// because knowledge is monotone).  Two reductions make instances tractable
-// that the old 64-bit BFS oracle (n <= 8) could not represent or finish:
+// because knowledge is monotone).  States are stored canonically under (a
+// subgroup of) the network's automorphism group (symmetry.hpp), dividing
+// the reachable space by up to |Aut(G)|; that is what makes instances
+// tractable that the old 64-bit BFS oracle (n <= 8) could not represent or
+// finish.  Alongside the optimum the solver reports an admissible lower
+// bound at the root — the per-instance forms of the repo's analytic
+// bounds: the distance deficit (every unknown item u must still travel
+// dist(u, v), cf. core/diameter_bound) and the information-doubling
+// deficit (a row at most doubles per round, the broadcasting-bound growth
+// argument of core/broadcast_bound).
 //
-//  * Symmetry: states are stored canonically under (a subgroup of) the
-//    network's automorphism group (symmetry.hpp), dividing the reachable
-//    space by up to |Aut(G)|.
-//  * Bounds: the branch-and-bound mode prunes with an admissible per-state
-//    heuristic — the per-instance forms of the repo's analytic bounds: the
-//    distance deficit (every unknown item u must still travel dist(u, v),
-//    cf. core/diameter_bound) and the information-doubling deficit (a row
-//    at most doubles per round, the broadcasting-bound growth argument of
-//    core/broadcast_bound).
-//
-// Two algorithms share the state layer: a frontier-parallel BFS on the
-// persistent util/thread_pool (the workhorse), and serial iterative
-// deepening with a transposition table (lower memory, best when the
-// optimum is close to the root lower bound).  BFS results — rounds and
-// states_explored — are identical for every thread count: the frontier is
-// sorted between layers, budget/goal checks happen only at deterministic
-// batch barriers, and set membership is order-independent.
+// One search per problem.  Gossip runs a frontier-parallel BFS on the
+// persistent util/thread_pool; its results — rounds and states_explored —
+// are identical for every thread count: the frontier is sorted between
+// layers, budget/goal checks happen only at deterministic batch barriers,
+// and set membership is order-independent.  Broadcast, whose masks number
+// at most 2^n, runs the same layered BFS serially.  A witness comes from
+// the same run: the layers are kept and the goal is traced back through
+// them, so asking for one changes no count and no stopping point.
 #pragma once
 
 #include <cstddef>
@@ -39,21 +38,14 @@ enum class Problem {
   kBroadcast,  // every vertex learns the source's item
 };
 
-enum class Algorithm {
-  kBfs,                 // frontier-parallel breadth-first search
-  kIterativeDeepening,  // serial depth-first branch-and-bound
-};
-
 struct SolveOptions {
   Problem problem = Problem::kGossip;
   protocol::Mode mode = protocol::Mode::kHalfDuplex;
-  Algorithm algorithm = Algorithm::kBfs;
   /// Broadcast source vertex (ignored by gossip).
   int source = 0;
   int max_rounds = 64;
   /// Abort with budget_exhausted once this many canonical states are
-  /// stored (BFS; checked at batch barriers, so the last batch may
-  /// overshoot) or expanded (iterative deepening).
+  /// stored (checked at batch barriers, so the last batch may overshoot).
   std::size_t max_states = 20'000'000;
   /// Like engine::SweepOptions::threads: 0 runs BFS batches on the
   /// process-wide pool, 1 is serial, k > 1 spawns a private pool of k
@@ -65,15 +57,15 @@ struct SolveOptions {
   /// capped at max_group_order; identity-only beyond the cap).
   bool use_symmetry = true;
   std::size_t max_group_order = 4096;
-  /// Reconstruct one optimal protocol (forces the serial BFS path).
+  /// Reconstruct one optimal protocol: keeps every BFS layer (memory
+  /// grows by the sum of the frontiers) and traces the goal back.
   bool want_witness = false;
 };
 
 struct SolveResult {
   /// Exact optimum, or -1 when unreachable within max_rounds / budget.
   int rounds = -1;
-  /// BFS: canonical states stored; iterative deepening: nodes expanded
-  /// across all depth iterations.
+  /// Canonical states stored.
   std::size_t states_explored = 0;
   bool budget_exhausted = false;
   /// Order of the automorphism subgroup used for canonicalization (1 when

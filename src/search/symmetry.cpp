@@ -212,10 +212,22 @@ State Canonicalizer::canonical(const State& s, std::size_t* perm_index) const {
 }
 
 std::uint16_t Canonicalizer::canonical_mask(std::uint16_t mask) const {
+  std::size_t ignored;
+  return canonical_mask(mask, &ignored);
+}
+
+std::uint16_t Canonicalizer::canonical_mask(std::uint16_t mask,
+                                            std::size_t* perm_index) const {
   std::uint16_t best = mask;
+  *perm_index = 0;
   const std::size_t k = group_.perms.size();
-  for (std::size_t i = 1; i < k; ++i)
-    best = std::min(best, col_permute(i, mask));
+  for (std::size_t i = 1; i < k; ++i) {
+    const std::uint16_t cand = col_permute(i, mask);
+    if (cand < best) {
+      best = cand;
+      *perm_index = i;
+    }
+  }
   return best;
 }
 

@@ -80,6 +80,10 @@ class Canonicalizer {
   /// Orbit minimum of an n-bit vertex set (broadcast informed sets).
   [[nodiscard]] std::uint16_t canonical_mask(std::uint16_t mask) const;
 
+  /// As above, with the permutation index reported like canonical(s, ...).
+  [[nodiscard]] std::uint16_t canonical_mask(std::uint16_t mask,
+                                             std::size_t* perm_index) const;
+
  private:
   /// colperm of permutation i applied to a row mask.
   [[nodiscard]] std::uint16_t col_permute(std::size_t i,

@@ -13,8 +13,6 @@
 #include "obs/wall_timer.hpp"
 #include "protocol/builders.hpp"
 #include "protocol/compiled.hpp"
-#include "search/solver.hpp"
-#include "search/state.hpp"
 #include "synth/draft.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -217,31 +215,12 @@ RestartOutcome anneal(const protocol::SystolicSchedule& initial,
   return out;
 }
 
-/// Initial schedule for restart r (see header: coloring, witness, random).
+/// Initial schedule for restart r (see header: coloring, then random).
 protocol::SystolicSchedule initial_schedule(
     const graph::Digraph& g, int restart,
     const protocol::SystolicSchedule& coloring, const SynthOptions& opts,
     util::Rng& rng) {
   if (restart == 0) return coloring;
-  if (restart == 1 && opts.exact_warm_start &&
-      g.vertex_count() <= search::kMaxVertices) {
-    search::SolveOptions so;
-    so.problem = opts.objective.goal == Goal::kBroadcast
-                     ? search::Problem::kBroadcast
-                     : search::Problem::kGossip;
-    so.source = opts.objective.source;
-    so.mode = opts.mode;
-    so.threads = 1;  // already inside a parallel restart
-    so.want_witness = true;
-    const auto res = search::solve(g, so);
-    if (res.rounds > 0 && !res.witness.empty()) {
-      protocol::SystolicSchedule s;
-      s.n = g.vertex_count();
-      s.mode = opts.mode;
-      s.period = res.witness;  // the optimal protocol, read periodically
-      return s;
-    }
-  }
   const int s0 = coloring.period_length() > 0 ? coloring.period_length() : 1;
   return protocol::random_systolic_schedule(g, s0, opts.mode, rng);
 }

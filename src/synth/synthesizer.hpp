@@ -16,11 +16,9 @@
 // for any thread count (given time_budget_ms == 0; a wall-clock budget
 // necessarily trades that away and is off by default).
 //
-// Warm starts: restart 0 anneals from the edge-coloring schedule (so the
-// result never loses to the classic builder); with exact_warm_start and
-// n <= search::kMaxVertices, restart 1 starts from an exact-search witness
-// (already optimal in rounds; annealing can still shrink period / links).
-// Remaining restarts start from seeded random matchings.
+// Warm start: restart 0 anneals from the edge-coloring schedule (so the
+// result never loses to the classic builder); every other restart starts
+// from seeded random matchings.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +45,6 @@ struct SynthOptions {
   /// 0: restarts on the process-wide pool; 1: serial; k > 1: a private
   /// pool of k lanes for this call.  Results identical for any value.
   unsigned threads = 0;
-  /// Seed restart 1 from an exact-search witness when n <= 12 (costs a
-  /// solver run; off by default).
-  bool exact_warm_start = false;
 };
 
 struct SynthResult {

@@ -3,10 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 
 #include "graph/matching.hpp"
-#include "simulator/broadcast_sim.hpp"
 #include "topology/classic.hpp"
 #include "topology/knodel.hpp"
 #include "util/rng.hpp"
@@ -86,97 +84,6 @@ TEST(MaximalMatchings, OrderingIndependentOfArcInsertionOrder) {
 TEST(MaximalMatchings, SupportsUpToSixteenVertices) {
   EXPECT_FALSE(maximal_matchings(topology::cycle(16), Mode::kHalfDuplex).empty());
   EXPECT_THROW((void)maximal_matchings(topology::cycle(17), Mode::kHalfDuplex),
-               std::invalid_argument);
-}
-
-TEST(OptimalGossip, TrivialSizes) {
-  EXPECT_EQ(optimal_gossip(topology::path(1), Mode::kHalfDuplex).rounds, 0);
-  EXPECT_EQ(optimal_gossip(topology::path(2), Mode::kFullDuplex).rounds, 1);
-  EXPECT_EQ(optimal_gossip(topology::path(2), Mode::kHalfDuplex).rounds, 2);
-}
-
-TEST(OptimalGossip, PathOfThree) {
-  // Full-duplex P3 gossip takes 3 rounds (one edge per round, middle vertex
-  // must relay both ways).
-  EXPECT_EQ(optimal_gossip(topology::path(3), Mode::kFullDuplex).rounds, 3);
-  // Half-duplex needs 4.
-  EXPECT_EQ(optimal_gossip(topology::path(3), Mode::kHalfDuplex).rounds, 4);
-}
-
-TEST(OptimalGossip, CompleteFourFullDuplexIsTwo) {
-  EXPECT_EQ(optimal_gossip(topology::complete(4), Mode::kFullDuplex).rounds, 2);
-}
-
-TEST(OptimalGossip, CompleteFourHalfDuplexKnownValue) {
-  // One-way (half-duplex) gossip on K4 takes 4 rounds ([4, 17, 15, 26]:
-  // 1.4404·log2(4) ≈ 2.9, and the known exact small values give 4).
-  const auto res = optimal_gossip(topology::complete(4), Mode::kHalfDuplex);
-  EXPECT_EQ(res.rounds, 4);
-}
-
-TEST(OptimalGossip, CycleFourFullDuplex) {
-  // C4: two perfect matchings alternating gossip in 2 rounds.
-  EXPECT_EQ(optimal_gossip(topology::cycle(4), Mode::kFullDuplex).rounds, 2);
-}
-
-TEST(OptimalGossip, WitnessProtocolActuallyGossips) {
-  for (auto mode : {Mode::kHalfDuplex, Mode::kFullDuplex}) {
-    const auto g = topology::cycle(5);
-    const auto res = optimal_gossip(g, mode);
-    ASSERT_GT(res.rounds, 0);
-    protocol::Protocol p;
-    p.n = 5;
-    p.mode = mode;
-    p.rounds = res.witness;
-    EXPECT_TRUE(protocol::validate_structure(p, &g).ok);
-    EXPECT_TRUE(simulator::achieves_gossip(p));
-    EXPECT_EQ(p.length(), res.rounds);
-    // One round fewer cannot gossip (optimality of the witness length).
-    p.rounds.pop_back();
-    EXPECT_FALSE(simulator::achieves_gossip(p));
-  }
-}
-
-TEST(OptimalGossip, OptimalNeverBelowDiameterOrLogN) {
-  for (int n : {4, 5, 6}) {
-    const auto g = topology::cycle(n);
-    const auto res = optimal_gossip(g, Mode::kFullDuplex);
-    ASSERT_GT(res.rounds, 0);
-    EXPECT_GE(res.rounds, n / 2);                           // diameter
-    EXPECT_GE(res.rounds, static_cast<int>(std::ceil(std::log2(n))));
-  }
-}
-
-TEST(OptimalGossip, HalfDuplexNeverFasterThanFullDuplex) {
-  for (int n : {3, 4, 5}) {
-    const auto g = topology::complete(n);
-    const int full = optimal_gossip(g, Mode::kFullDuplex).rounds;
-    const int half = optimal_gossip(g, Mode::kHalfDuplex).rounds;
-    ASSERT_GT(full, 0);
-    ASSERT_GT(half, 0);
-    EXPECT_GE(half, full) << "n=" << n;
-  }
-}
-
-TEST(OptimalGossip, UnreachableWithinBudget) {
-  const auto res = optimal_gossip(topology::path(5), Mode::kHalfDuplex, 2);
-  EXPECT_EQ(res.rounds, -1);
-}
-
-TEST(OptimalGossip, HandlesNineVerticesViaSearchSubsystem) {
-  // The old 64-bit packing capped this entry point at n <= 8; it now
-  // delegates to search::solve (n <= 12).
-  const auto res = optimal_gossip(topology::cycle(9), Mode::kFullDuplex);
-  EXPECT_EQ(res.rounds, 6);
-  protocol::Protocol p;
-  p.n = 9;
-  p.mode = Mode::kFullDuplex;
-  p.rounds = res.witness;
-  EXPECT_TRUE(simulator::achieves_gossip(p));
-}
-
-TEST(OptimalGossip, RejectsLargeN) {
-  EXPECT_THROW((void)optimal_gossip(topology::path(13), Mode::kHalfDuplex),
                std::invalid_argument);
 }
 

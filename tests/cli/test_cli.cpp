@@ -218,6 +218,21 @@ TEST(Cli, TinyGridsPrintSeedAndCsvHeader) {
   }
 }
 
+// --max-states bounds both searches: each stops at its batch barrier and
+// reports budget = 1 with no round count.
+TEST(Cli, SolveStateBudgetStopsGossipAndBroadcast) {
+  const CliResult r = sysgo(
+      "solve --families cycle --D 9 --modes half --problems gossip,broadcast"
+      " --max-states 2");
+  ASSERT_EQ(r.code, 0) << r.err;
+  const auto records = sysgo::io::parse_sweep_csv(r.out);
+  ASSERT_EQ(records.size(), 2u) << r.out;
+  for (const auto& rec : records) {
+    EXPECT_EQ(rec.budget, 1) << r.out;
+    EXPECT_EQ(rec.rounds, -1) << r.out;
+  }
+}
+
 /// Write a schedule file into the test's scratch space; returns its path.
 std::string schedule_file(const std::string& name, const std::string& body) {
   const std::string path = scratch(name);

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 
+#include "reference_search.hpp"
 #include "simulator/broadcast_sim.hpp"
+#include "simulator/gossip_sim.hpp"
 #include "topology/classic.hpp"
 #include "topology/knodel.hpp"
 
@@ -14,20 +17,29 @@ namespace {
 using protocol::Mode;
 
 SolveResult run(const graph::Digraph& g, Problem p, Mode m,
-                Algorithm alg = Algorithm::kBfs, unsigned threads = 1) {
+                unsigned threads = 1) {
   SolveOptions opts;
   opts.problem = p;
   opts.mode = m;
-  opts.algorithm = alg;
   opts.threads = threads;
+  return solve(g, opts);
+}
+
+/// Gossip optimum together with a witness protocol.
+SolveResult solve_with_witness(const graph::Digraph& g, Mode m,
+                           int max_rounds = 32) {
+  SolveOptions opts;
+  opts.mode = m;
+  opts.max_rounds = max_rounds;
+  opts.want_witness = true;
   return solve(g, opts);
 }
 
 // ------------------------------------------------------------ golden optima
 //
 // Gossip values for n <= 8 cross-checked against the pre-subsystem 64-bit
-// BFS oracle (analysis/optimal at PR 1); the rest certified by this solver
-// with BFS and iterative deepening agreeing.
+// BFS oracle that analysis/optimal used to hold; the small asymmetric
+// corpus below is checked against tests/search/reference_search.
 
 struct Golden {
   const char* name;
@@ -90,11 +102,11 @@ TEST(Solver, HeavyGoldenHalfDuplexOptima) {
   EXPECT_EQ(w38.rounds, 6);  // isomorphic to Q3 (crown graph K4,4 - PM)
 }
 
-TEST(Solver, IterativeDeepeningAgreesWithBfs) {
+TEST(Solver, MatchesTheReferenceSearch) {
   // Includes deliberately ASYMMETRIC instances (stars, paths, pendant
-  // cliques): knowledge-imbalanced states are where an inadmissible
-  // heuristic (e.g. per-vertex doubling) silently over-prunes while every
-  // vertex-transitive case still passes.
+  // cliques): knowledge-imbalanced states are where a wrong canonical form
+  // or an inadmissible root bound (e.g. per-vertex doubling) shows while
+  // every vertex-transitive case still passes.
   auto k3_pendant = [] {
     graph::Digraph g(4);
     g.add_edge(0, 1);
@@ -112,18 +124,33 @@ TEST(Solver, IterativeDeepeningAgreesWithBfs) {
   corpus.push_back(topology::path(5));
   corpus.push_back(topology::complete_tree(4, 1));  // star5
   corpus.push_back(k3_pendant());
+  // Every run also traces a witness back, so the relabelings of the
+  // trace-back meet nontrivial groups and source stabilizers.
   for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const auto& g = corpus[i];
     for (Mode m : {Mode::kFullDuplex, Mode::kHalfDuplex}) {
-      const auto bfs = run(corpus[i], Problem::kGossip, m, Algorithm::kBfs);
-      const auto id = run(corpus[i], Problem::kGossip, m,
-                          Algorithm::kIterativeDeepening);
-      EXPECT_EQ(bfs.rounds, id.rounds)
+      SolveOptions opts;
+      opts.mode = m;
+      opts.want_witness = true;
+      const auto gossip = solve(g, opts);
+      EXPECT_EQ(gossip.rounds, reference_gossip_rounds(g, m))
           << "corpus[" << i << "] mode=" << static_cast<int>(m);
+      EXPECT_LE(gossip.root_lower_bound, gossip.rounds) << "corpus[" << i << "]";
+      EXPECT_TRUE(witness_valid(g, opts, gossip)) << "corpus[" << i << "]";
+      opts.problem = Problem::kBroadcast;
+      for (int source = 0; source < g.vertex_count(); ++source) {
+        opts.source = source;
+        const auto broadcast = solve(g, opts);
+        EXPECT_EQ(broadcast.rounds,
+                  reference_broadcast_rounds(g, m, source))
+            << "corpus[" << i << "] mode=" << static_cast<int>(m)
+            << " source=" << source;
+        EXPECT_LE(broadcast.root_lower_bound, broadcast.rounds);
+        EXPECT_TRUE(witness_valid(g, opts, broadcast))
+            << "corpus[" << i << "] source=" << source;
+      }
     }
   }
-  const auto id = run(topology::cycle(6), Problem::kGossip, Mode::kHalfDuplex,
-                      Algorithm::kIterativeDeepening);
-  EXPECT_EQ(id.rounds, 6);
 }
 
 TEST(Solver, SymmetryOffMatchesSymmetryOn) {
@@ -150,9 +177,9 @@ TEST(Solver, SerialAndThreadedRunsAreIdentical) {
   // pool).
   for (Mode m : {Mode::kFullDuplex, Mode::kHalfDuplex}) {
     const auto& g = topology::cycle(7);
-    const auto serial = run(g, Problem::kGossip, m, Algorithm::kBfs, 1);
-    const auto pooled = run(g, Problem::kGossip, m, Algorithm::kBfs, 0);
-    const auto threaded = run(g, Problem::kGossip, m, Algorithm::kBfs, 3);
+    const auto serial = run(g, Problem::kGossip, m, 1);
+    const auto pooled = run(g, Problem::kGossip, m, 0);
+    const auto threaded = run(g, Problem::kGossip, m, 3);
     EXPECT_EQ(serial.rounds, threaded.rounds);
     EXPECT_EQ(serial.states_explored, threaded.states_explored);
     EXPECT_EQ(serial.rounds, pooled.rounds);
@@ -162,14 +189,11 @@ TEST(Solver, SerialAndThreadedRunsAreIdentical) {
 
 TEST(Solver, CertifiesCycleNineBeyondOldOracle) {
   // n = 9 was unrepresentable in the old 64-bit packing.  C9 full-duplex
-  // gossip takes 6 rounds (cross-checked by iterative deepening).
+  // gossip takes 6 rounds (its witness is checked in OptimalGossip below).
   const auto bfs = run(topology::cycle(9), Problem::kGossip, Mode::kFullDuplex);
   EXPECT_EQ(bfs.rounds, 6);
   EXPECT_FALSE(bfs.budget_exhausted);
   EXPECT_EQ(bfs.group_order, 18u);
-  const auto id = run(topology::cycle(9), Problem::kGossip, Mode::kFullDuplex,
-                      Algorithm::kIterativeDeepening);
-  EXPECT_EQ(id.rounds, 6);
   // Broadcast at n >= 9, both modes.
   EXPECT_EQ(run(topology::cycle(9), Problem::kBroadcast, Mode::kFullDuplex).rounds, 5);
   EXPECT_EQ(run(topology::cycle(9), Problem::kBroadcast, Mode::kHalfDuplex).rounds, 5);
@@ -185,24 +209,68 @@ TEST(Solver, TwelveVertexInstance) {
                std::invalid_argument);
 }
 
-TEST(Solver, GossipWitnessIsValidAndOptimal) {
+TEST(Solver, WitnessRunsMatchPlainRunsAtEveryThreadCount) {
+  // The witness contract: asking for a witness changes no count and no
+  // stopping point, the witness is the same for every thread count (it is
+  // traced back through the sorted layers), and it replays through the
+  // compiled execution path (matchings in the right mode, arcs of g) in
+  // exactly the optimal number of rounds.
+  struct Case {
+    const char* name;
+    graph::Digraph g;
+    Problem problem;
+    Mode mode;
+    std::size_t max_states;
+  };
+  std::vector<Case> cases;
   for (Mode m : {Mode::kFullDuplex, Mode::kHalfDuplex}) {
-    for (int n : {5, 6}) {
-      const auto g = topology::cycle(n);
-      SolveOptions opts;
-      opts.mode = m;
-      opts.want_witness = true;
-      const auto res = solve(g, opts);
-      ASSERT_GT(res.rounds, 0);
-      // The compiled execution path re-validates structure (matchings in
-      // the right mode, arcs of g) and replays the witness exactly.
-      EXPECT_TRUE(witness_valid(g, opts, res));
-
-      // A corrupted witness must be rejected: drop the last round.
-      SolveResult broken = res;
-      broken.witness.pop_back();
-      EXPECT_FALSE(witness_valid(g, opts, broken));
+    for (int n : {5, 6})
+      cases.push_back({"cycle", topology::cycle(n), Problem::kGossip, m,
+                       20'000'000});
+    cases.push_back({"knodel(3,8)", topology::knodel(3, 8),
+                     Problem::kBroadcast, m, 20'000'000});
+  }
+  // Budget-limited runs: the same stop with and without a witness.
+  cases.push_back({"cycle7 budget", topology::cycle(7), Problem::kGossip,
+                   Mode::kHalfDuplex, 100});
+  cases.push_back({"cycle9 budget", topology::cycle(9), Problem::kBroadcast,
+                   Mode::kHalfDuplex, 2});
+  for (const auto& c : cases) {
+    SolveOptions opts;
+    opts.problem = c.problem;
+    opts.mode = c.mode;
+    opts.max_states = c.max_states;
+    opts.threads = 1;
+    const auto plain = solve(c.g, opts);
+    opts.want_witness = true;
+    const auto first = solve(c.g, opts);
+    for (unsigned threads : {1u, 3u, 0u}) {
+      opts.threads = threads;
+      const auto res = solve(c.g, opts);
+      EXPECT_EQ(res.rounds, plain.rounds) << c.name << " t=" << threads;
+      EXPECT_EQ(res.states_explored, plain.states_explored) << c.name;
+      EXPECT_EQ(res.budget_exhausted, plain.budget_exhausted) << c.name;
+      EXPECT_EQ(res.witness, first.witness) << c.name << " t=" << threads;
+      if (plain.budget_exhausted) {
+        EXPECT_TRUE(res.witness.empty()) << c.name;
+      } else {
+        ASSERT_GT(res.rounds, 0) << c.name;
+        EXPECT_TRUE(witness_valid(c.g, opts, res)) << c.name;
+      }
     }
+  }
+}
+
+TEST(Solver, GossipWitnessWithARoundMissingIsRejected) {
+  for (Mode m : {Mode::kFullDuplex, Mode::kHalfDuplex}) {
+    const auto g = topology::cycle(6);
+    SolveOptions opts;
+    opts.mode = m;
+    opts.want_witness = true;
+    SolveResult broken = solve(g, opts);
+    ASSERT_TRUE(witness_valid(g, opts, broken));
+    broken.witness.pop_back();
+    EXPECT_FALSE(witness_valid(g, opts, broken));
   }
 }
 
@@ -238,6 +306,16 @@ TEST(Solver, BudgetExhaustionReportsCleanly) {
   EXPECT_EQ(res.rounds, -1);
   EXPECT_TRUE(res.budget_exhausted);
   EXPECT_GE(res.states_explored, 100u);
+  // Broadcast stops at the same barriers: after its first layer C9 already
+  // stores more than two informed sets.
+  opts.problem = Problem::kBroadcast;
+  opts.max_states = 2;
+  const auto b = solve(topology::cycle(9), opts);
+  EXPECT_EQ(b.rounds, -1);
+  EXPECT_TRUE(b.budget_exhausted);
+  EXPECT_GE(b.states_explored, 2u);
+  opts.max_states = 20'000'000;
+  EXPECT_FALSE(solve(topology::cycle(9), opts).budget_exhausted);
 }
 
 TEST(Solver, DisconnectedGraphIsInfeasible) {
@@ -264,6 +342,71 @@ TEST(Solver, TrivialInstances) {
   EXPECT_EQ(run(topology::path(2), Problem::kGossip, Mode::kFullDuplex).rounds, 1);
   EXPECT_EQ(run(topology::path(2), Problem::kGossip, Mode::kHalfDuplex).rounds, 2);
   EXPECT_EQ(run(topology::path(2), Problem::kBroadcast, Mode::kHalfDuplex).rounds, 1);
+}
+
+// ------------------------------------------- optima with their witnesses
+
+TEST(OptimalGossip, PathOfThree) {
+  // Full-duplex P3 gossip takes 3 rounds (one edge per round, middle vertex
+  // must relay both ways).
+  EXPECT_EQ(solve_with_witness(topology::path(3), Mode::kFullDuplex).rounds, 3);
+  // Half-duplex needs 4.
+  EXPECT_EQ(solve_with_witness(topology::path(3), Mode::kHalfDuplex).rounds, 4);
+}
+
+TEST(OptimalGossip, WitnessProtocolActuallyGossips) {
+  for (auto mode : {Mode::kHalfDuplex, Mode::kFullDuplex}) {
+    const auto g = topology::cycle(5);
+    const auto res = solve_with_witness(g, mode);
+    ASSERT_GT(res.rounds, 0);
+    protocol::Protocol p;
+    p.n = 5;
+    p.mode = mode;
+    p.rounds = res.witness;
+    EXPECT_TRUE(protocol::validate_structure(p, &g).ok);
+    EXPECT_TRUE(simulator::achieves_gossip(p));
+    EXPECT_EQ(p.length(), res.rounds);
+    // One round fewer cannot gossip (optimality of the witness length).
+    p.rounds.pop_back();
+    EXPECT_FALSE(simulator::achieves_gossip(p));
+  }
+}
+
+TEST(OptimalGossip, OptimalNeverBelowDiameterOrLogN) {
+  for (int n : {4, 5, 6}) {
+    const auto g = topology::cycle(n);
+    const auto res = solve_with_witness(g, Mode::kFullDuplex);
+    ASSERT_GT(res.rounds, 0);
+    EXPECT_GE(res.rounds, n / 2);                           // diameter
+    EXPECT_GE(res.rounds, static_cast<int>(std::ceil(std::log2(n))));
+  }
+}
+
+TEST(OptimalGossip, HalfDuplexNeverFasterThanFullDuplex) {
+  for (int n : {3, 4, 5}) {
+    const auto g = topology::complete(n);
+    const int full = solve_with_witness(g, Mode::kFullDuplex).rounds;
+    const int half = solve_with_witness(g, Mode::kHalfDuplex).rounds;
+    ASSERT_GT(full, 0);
+    ASSERT_GT(half, 0);
+    EXPECT_GE(half, full) << "n=" << n;
+  }
+}
+
+TEST(OptimalGossip, UnreachableWithinBudget) {
+  const auto res = solve_with_witness(topology::path(5), Mode::kHalfDuplex, 2);
+  EXPECT_EQ(res.rounds, -1);
+}
+
+TEST(OptimalGossip, HandlesNineVerticesViaSearchSubsystem) {
+  // The old 64-bit packing capped exact optima at n <= 8.
+  const auto res = solve_with_witness(topology::cycle(9), Mode::kFullDuplex);
+  EXPECT_EQ(res.rounds, 6);
+  protocol::Protocol p;
+  p.n = 9;
+  p.mode = Mode::kFullDuplex;
+  p.rounds = res.witness;
+  EXPECT_TRUE(simulator::achieves_gossip(p));
 }
 
 }  // namespace

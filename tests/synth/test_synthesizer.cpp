@@ -129,25 +129,6 @@ TEST(Synthesizer, DeterministicAcrossThreadCounts) {
                    CompiledSchedule::compile(c.schedule));
 }
 
-TEST(Synthesizer, ExactWitnessWarmStartReachesOptimumWithoutAnnealing) {
-  // iterations = 0: restarts only evaluate their warm starts, so hitting
-  // the optimum proves the witness seeding path works.
-  const auto g = topology::cycle(6);
-  search::SolveOptions so;
-  so.mode = Mode::kFullDuplex;
-  const auto exact = search::solve(g, so);
-  ASSERT_GT(exact.rounds, 0);
-  SynthOptions opts;
-  opts.mode = Mode::kFullDuplex;
-  opts.restarts = 2;
-  opts.iterations = 0;
-  opts.threads = 1;
-  opts.exact_warm_start = true;
-  const auto res = synthesize(g, opts);
-  EXPECT_EQ(res.objective.rounds, exact.rounds);
-  EXPECT_EQ(res.moves_proposed, 0);
-}
-
 TEST(Synthesizer, RejectsDegenerateInputs) {
   EXPECT_THROW((void)synthesize(graph::Digraph(1), {}), std::invalid_argument);
   graph::Digraph isolated(3);
