@@ -1,8 +1,8 @@
 #include "reference_search.hpp"
 
 #include <cstdint>
-#include <unordered_set>
 #include <stdexcept>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 

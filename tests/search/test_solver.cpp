@@ -27,7 +27,7 @@ SolveResult run(const graph::Digraph& g, Problem p, Mode m,
 
 /// Gossip optimum together with a witness protocol.
 SolveResult solve_with_witness(const graph::Digraph& g, Mode m,
-                           int max_rounds = 32) {
+                               int max_rounds = 32) {
   SolveOptions opts;
   opts.mode = m;
   opts.max_rounds = max_rounds;
