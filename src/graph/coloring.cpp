@@ -1,34 +1,39 @@
 #include "graph/coloring.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 namespace sysgo::graph {
 
 EdgeColoring greedy_edge_coloring(const Digraph& g) {
   EdgeColoring out;
   out.edges = g.undirected_edges();
-  out.colors.assign(out.edges.size(), -1);
+  out.colors.resize(out.edges.size());
 
-  // Colors already used at each vertex, as bitsets over small color ids.
-  const int n = g.vertex_count();
-  std::vector<std::vector<char>> used(static_cast<std::size_t>(n));
-  auto color_free = [&](int v, int c) {
-    const auto& u = used[static_cast<std::size_t>(v)];
-    return c >= static_cast<int>(u.size()) || !u[static_cast<std::size_t>(c)];
-  };
-  auto mark = [&](int v, int c) {
-    auto& u = used[static_cast<std::size_t>(v)];
-    if (c >= static_cast<int>(u.size())) u.resize(static_cast<std::size_t>(c) + 1, 0);
-    u[static_cast<std::size_t>(c)] = 1;
-  };
+  // First fit never exceeds 2Δ − 1 colors, so W words of color mask per
+  // vertex (64·W > 2Δ) always hold a free bit.
+  const auto n = static_cast<std::size_t>(g.vertex_count());
+  std::vector<int> degree(n, 0);
+  for (const auto& [u, v] : out.edges) {
+    ++degree[static_cast<std::size_t>(u)];
+    ++degree[static_cast<std::size_t>(v)];
+  }
+  const int max_degree = n == 0 ? 0 : *std::max_element(degree.begin(), degree.end());
+  const auto words = static_cast<std::size_t>(2 * max_degree / 64 + 1);
+  std::vector<std::uint64_t> used(n * words, 0);
 
   for (std::size_t i = 0; i < out.edges.size(); ++i) {
     const auto [u, v] = out.edges[i];
-    int c = 0;
-    while (!(color_free(u, c) && color_free(v, c))) ++c;
+    std::uint64_t* const mu = used.data() + static_cast<std::size_t>(u) * words;
+    std::uint64_t* const mv = used.data() + static_cast<std::size_t>(v) * words;
+    std::size_t w = 0;
+    while ((mu[w] | mv[w]) == ~std::uint64_t{0}) ++w;
+    const int bit = std::countr_one(mu[w] | mv[w]);
+    mu[w] |= std::uint64_t{1} << bit;
+    mv[w] |= std::uint64_t{1} << bit;
+    const int c = static_cast<int>(w) * 64 + bit;
     out.colors[i] = c;
-    mark(u, c);
-    mark(v, c);
     out.color_count = std::max(out.color_count, c + 1);
   }
   return out;

@@ -26,31 +26,45 @@ void Digraph::finalize() {
   for (const Arc& a : arcs_)
     if (a.tail < 0 || a.tail >= n_ || a.head < 0 || a.head >= n_)
       throw std::out_of_range("Digraph::finalize: arc endpoint out of range");
-  std::sort(arcs_.begin(), arcs_.end());
-  arcs_.erase(std::unique(arcs_.begin(), arcs_.end()), arcs_.end());
+  const auto n = static_cast<std::size_t>(n_);
 
-  out_offsets_.assign(static_cast<std::size_t>(n_) + 1, 0);
-  in_offsets_.assign(static_cast<std::size_t>(n_) + 1, 0);
-  for (const Arc& a : arcs_) {
-    ++out_offsets_[static_cast<std::size_t>(a.tail) + 1];
-    ++in_offsets_[static_cast<std::size_t>(a.head) + 1];
-  }
-  for (int v = 0; v < n_; ++v) {
-    out_offsets_[static_cast<std::size_t>(v) + 1] += out_offsets_[v];
-    in_offsets_[static_cast<std::size_t>(v) + 1] += in_offsets_[v];
-  }
+  // Counting sort by tail, then sort and dedup each (short) out-row.
+  out_offsets_.assign(n + 1, 0);
+  for (const Arc& a : arcs_) ++out_offsets_[static_cast<std::size_t>(a.tail) + 1];
+  for (std::size_t v = 0; v < n; ++v) out_offsets_[v + 1] += out_offsets_[v];
   out_adj_.resize(arcs_.size());
-  in_adj_.resize(arcs_.size());
-  std::vector<std::size_t> out_fill(out_offsets_.begin(), out_offsets_.end() - 1);
-  std::vector<std::size_t> in_fill(in_offsets_.begin(), in_offsets_.end() - 1);
-  for (const Arc& a : arcs_) {
-    out_adj_[out_fill[a.tail]++] = a.head;
-    in_adj_[in_fill[a.head]++] = a.tail;
+  {
+    std::vector<std::size_t> fill(out_offsets_.begin(), out_offsets_.end() - 1);
+    for (const Arc& a : arcs_) out_adj_[fill[a.tail]++] = a.head;
   }
-  // arcs_ is sorted, so out_adj_ per vertex is sorted; sort in_adj_ rows too.
-  for (int v = 0; v < n_; ++v)
-    std::sort(in_adj_.begin() + static_cast<std::ptrdiff_t>(in_offsets_[v]),
-              in_adj_.begin() + static_cast<std::ptrdiff_t>(in_offsets_[v + 1]));
+  std::size_t kept = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    const std::size_t begin = out_offsets_[v];
+    const std::size_t end = out_offsets_[v + 1];
+    std::sort(out_adj_.begin() + static_cast<std::ptrdiff_t>(begin),
+              out_adj_.begin() + static_cast<std::ptrdiff_t>(end));
+    out_offsets_[v] = kept;
+    for (std::size_t i = begin; i < end; ++i)
+      if (kept == out_offsets_[v] || out_adj_[kept - 1] != out_adj_[i])
+        out_adj_[kept++] = out_adj_[i];
+  }
+  out_offsets_[n] = kept;
+  out_adj_.resize(kept);
+
+  // Arcs and in-rows from the out-rows: scanning tails in ascending order
+  // leaves every in-row sorted.
+  arcs_.resize(kept);
+  in_offsets_.assign(n + 1, 0);
+  for (int head : out_adj_) ++in_offsets_[static_cast<std::size_t>(head) + 1];
+  for (std::size_t v = 0; v < n; ++v) in_offsets_[v + 1] += in_offsets_[v];
+  in_adj_.resize(kept);
+  std::vector<std::size_t> in_fill(in_offsets_.begin(), in_offsets_.end() - 1);
+  for (int tail = 0; tail < n_; ++tail)
+    for (std::size_t i = out_offsets_[tail]; i < out_offsets_[tail + 1]; ++i) {
+      const int head = out_adj_[i];
+      arcs_[i] = {tail, head};
+      in_adj_[in_fill[head]++] = tail;
+    }
   finalized_ = true;
 }
 
@@ -112,15 +126,27 @@ Digraph Digraph::symmetric_closure() const {
 }
 
 std::vector<std::pair<int, int>> Digraph::undirected_edges() const {
+  assert(finalized_);
+  // Per u, merge the sorted out-row and in-row, keeping neighbours above u
+  // once: the pairs come out sorted and deduplicated, self-loops dropped.
   std::vector<std::pair<int, int>> edges;
-  for (const Arc& a : arcs_) {
-    if (a.tail == a.head) continue;  // self-loop: useless for communication
-    const int u = std::min(a.tail, a.head);
-    const int v = std::max(a.tail, a.head);
-    edges.emplace_back(u, v);
+  edges.reserve(arcs_.size());
+  for (int u = 0; u < n_; ++u) {
+    const auto out = out_neighbors(u);
+    const auto in = in_neighbors(u);
+    auto o = std::upper_bound(out.begin(), out.end(), u);
+    auto i = std::upper_bound(in.begin(), in.end(), u);
+    while (o != out.end() || i != in.end()) {
+      int v;
+      if (i == in.end() || (o != out.end() && *o < *i)) {
+        v = *o++;
+      } else {
+        if (o != out.end() && *o == *i) ++o;
+        v = *i++;
+      }
+      edges.emplace_back(u, v);
+    }
   }
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
   return edges;
 }
 

@@ -2,6 +2,9 @@
 //
 // Networks are modelled as digraphs (Section 3 of the paper): undirected
 // graphs appear as symmetric digraphs (every arc has its opposite).
+// finalize() is linear in the arcs: a counting sort by tail, then a sort
+// of each short out-row; in-rows fill in tail order and come out sorted.
+// Builders collect their arcs into one vector and construct once.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +37,7 @@ class Digraph {
   void add_edge(int u, int v);
 
   /// Sort adjacency, drop duplicate arcs, build in/out CSR indexes.
+  /// O(m + n) plus a sort per out-row.
   void finalize();
   [[nodiscard]] bool finalized() const noexcept { return finalized_; }
 
@@ -67,7 +71,9 @@ class Digraph {
   [[nodiscard]] Digraph symmetric_closure() const;
 
   /// Undirected edge list {u, v} with u < v, one entry per unordered pair
-  /// (self-loops dropped).  Meaningful for any digraph; used by colorings.
+  /// (self-loops dropped), sorted.  Meaningful for any digraph; used by
+  /// colorings.  A merge of each vertex's out- and in-row: O(m).  Requires
+  /// finalize().
   [[nodiscard]] std::vector<std::pair<int, int>> undirected_edges() const;
 
  private:

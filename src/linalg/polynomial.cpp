@@ -7,7 +7,12 @@ double delay_polynomial(int i, double lambda) noexcept {
   const double l2 = lambda * lambda;
   double term = 1.0;
   double sum = 0.0;
+  // With l2 <= 1 the terms never grow, so once one no longer moves the
+  // sum no later one can (rounding is monotone): stopping there returns
+  // the full loop's value bit for bit.
+  const bool converges = l2 <= 1.0;
   for (int j = 0; j < i; ++j) {
+    if (converges && sum + term == sum) break;
     sum += term;
     term *= l2;
   }
@@ -19,9 +24,13 @@ double delay_polynomial_limit(double lambda) noexcept {
 }
 
 double geometric_sum(int k, double lambda) noexcept {
+  // Same early stop as delay_polynomial, valid for 0 <= λ <= 1 only (a
+  // negative ratio alternates the terms' signs).
+  const bool converges = lambda >= 0.0 && lambda <= 1.0;
   double term = lambda;
   double sum = 0.0;
   for (int j = 1; j <= k; ++j) {
+    if (converges && sum + term == sum) break;
     sum += term;
     term *= lambda;
   }

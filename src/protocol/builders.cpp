@@ -1,6 +1,7 @@
 #include "protocol/builders.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "graph/coloring.hpp"
 #include "graph/matching.hpp"
@@ -12,22 +13,45 @@ SystolicSchedule edge_coloring_schedule(const graph::Digraph& g, Mode mode) {
   SystolicSchedule sched;
   sched.n = g.vertex_count();
   sched.mode = mode;
-  const int rounds_per_color = (mode == Mode::kHalfDuplex) ? 2 : 1;
+  const auto n = static_cast<std::size_t>(sched.n);
+  const bool full = mode == Mode::kFullDuplex;
+  const std::size_t rounds_per_color = full ? 1 : 2;
   sched.period.resize(static_cast<std::size_t>(coloring.color_count) *
-                      static_cast<std::size_t>(rounds_per_color));
+                      rounds_per_color);
+
+  // Edge {u, v} of color c activates (u, v) and (v, u): in round c
+  // (full-duplex), or forward in round 2c and backward in round 2c + 1.
+  // Bucket the arcs by tail, then deal them out to their rounds in tail
+  // order: a round is a matching, so each round comes out canonical.
+  std::vector<std::size_t> start(n + 1, 0);
+  for (const auto& [u, v] : coloring.edges) {
+    ++start[static_cast<std::size_t>(u) + 1];
+    ++start[static_cast<std::size_t>(v) + 1];
+  }
+  for (std::size_t v = 0; v < n; ++v) start[v + 1] += start[v];
+  struct Activation {
+    int head;
+    std::uint32_t round;
+  };
+  std::vector<Activation> by_tail(start[n]);
+  std::vector<std::size_t> round_size(sched.period.size(), 0);
   for (std::size_t i = 0; i < coloring.edges.size(); ++i) {
     const auto [u, v] = coloring.edges[i];
-    const int c = coloring.colors[i];
-    if (mode == Mode::kFullDuplex) {
-      auto& round = sched.period[static_cast<std::size_t>(c)];
-      round.arcs.push_back({u, v});
-      round.arcs.push_back({v, u});
-    } else {
-      sched.period[static_cast<std::size_t>(2 * c)].arcs.push_back({u, v});
-      sched.period[static_cast<std::size_t>(2 * c + 1)].arcs.push_back({v, u});
-    }
+    const auto c = static_cast<std::uint32_t>(coloring.colors[i]);
+    const std::uint32_t forward = full ? c : 2 * c;
+    const std::uint32_t backward = full ? c : 2 * c + 1;
+    by_tail[start[static_cast<std::size_t>(u)]++] = {v, forward};
+    by_tail[start[static_cast<std::size_t>(v)]++] = {u, backward};
+    ++round_size[forward];
+    ++round_size[backward];
   }
-  for (auto& r : sched.period) r.canonicalize();
+  for (std::size_t r = 0; r < round_size.size(); ++r)
+    sched.period[r].arcs.reserve(round_size[r]);
+  // start[v] now ends v's bucket, which begins where v - 1's ended.
+  for (std::size_t v = 0, i = 0; v < n; ++v)
+    for (; i < start[v]; ++i)
+      sched.period[by_tail[i].round].arcs.push_back(
+          {static_cast<int>(v), by_tail[i].head});
   return sched;
 }
 

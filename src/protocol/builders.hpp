@@ -15,7 +15,8 @@ namespace sysgo::protocol {
 
 /// Periodic schedule from a greedy proper edge coloring of g's undirected
 /// support.  Half-duplex: period = 2 · #colors (each color forward then
-/// backward).  Full-duplex: period = #colors.
+/// backward).  Full-duplex: period = #colors.  Every round comes out
+/// canonical (sorted by tail, no duplicates), in O(m + n + #rounds).
 ///
 /// Because the coloring runs on the undirected support, schedules for
 /// non-symmetric digraphs activate reversed arcs that g itself lacks (the

@@ -1,9 +1,8 @@
 #include "protocol/compiled.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <string>
-
-#include "graph/matching.hpp"
 
 namespace sysgo::protocol {
 
@@ -27,19 +26,27 @@ CompiledSchedule CompiledSchedule::build(int n, Mode mode, bool periodic,
   cs.n_ = n;
   cs.mode_ = mode;
   cs.periodic_ = periodic;
+  const bool full = mode == Mode::kFullDuplex;
   const std::size_t nr = rounds.size();
+  std::size_t total = 0;
+  for (const Round& round : rounds) total += round.arcs.size();
   cs.arc_begin_.reserve(nr + 1);
+  cs.arcs_.reserve(total);
   cs.partner_.assign(nr * static_cast<std::size_t>(n), -1);
   cs.role_.assign(nr * static_cast<std::size_t>(n), RoundRole::kIdle);
-  if (mode == Mode::kFullDuplex) cs.pair_begin_.reserve(nr + 1);
-  if (mode == Mode::kFullDuplex) cs.pair_begin_.push_back(0);
+  if (full) {
+    cs.pair_begin_.reserve(nr + 1);
+    cs.pair_begin_.push_back(0);
+    cs.pairs_.reserve(total / 2);
+  }
 
   for (std::size_t r = 0; r < nr; ++r) {
     const int round_no = static_cast<int>(r) + 1;
-    // Validate the round AS AUTHORED — canonicalize() dedups, and a
-    // duplicated arc must fail the matching check exactly as it does in
-    // validate_structure, not be silently repaired.
-    for (const graph::Arc& a : rounds[r].arcs) {
+    const std::vector<graph::Arc>& arcs = rounds[r].arcs;
+    // Validate the round AS AUTHORED — canonicalizing dedups, and a
+    // duplicated arc must fail the half-duplex matching check exactly as it
+    // does in validate_structure, not be silently repaired.
+    for (const graph::Arc& a : arcs) {
       if (a.tail < 0 || a.tail >= n || a.head < 0 || a.head >= n)
         fail(round_no, "activates an endpoint outside [0, n)");
       if (g != nullptr && !g->has_arc(a.tail, a.head))
@@ -47,36 +54,53 @@ CompiledSchedule CompiledSchedule::build(int n, Mode mode, bool periodic,
                            std::to_string(a.head) +
                            ") absent from the network");
     }
-    const bool matching = mode == Mode::kFullDuplex
-                              ? graph::is_full_duplex_matching(rounds[r].arcs, n)
-                              : graph::is_half_duplex_matching(rounds[r].arcs, n);
-    if (!matching)
-      fail(round_no, std::string("is not a valid ") +
-                         (mode == Mode::kFullDuplex ? "full" : "half") +
-                         "-duplex matching");
-    Round canon = rounds[r];
-    canon.canonicalize();
-
+    // The matching check fills the round's partner and role rows as it
+    // goes: a vertex already given a partner is matched.  Full duplex marks
+    // each tail kExchange first and then asks every head to be a tail too,
+    // which makes every active arc's opposite active.
     std::int32_t* partners =
         cs.partner_.data() + r * static_cast<std::size_t>(n);
     RoundRole* roles = cs.role_.data() + r * static_cast<std::size_t>(n);
-    for (const graph::Arc& a : canon.arcs) {
-      if (mode == Mode::kFullDuplex) {
-        partners[a.tail] = a.head;
-        partners[a.head] = a.tail;
-        roles[a.tail] = roles[a.head] = RoundRole::kExchange;
-        if (a.tail < a.head) cs.pairs_.push_back(a);
+    const auto free_for = [partners, full](int v, int other) {
+      return partners[v] == -1 || (full && partners[v] == other);
+    };
+    bool matching = true;
+    for (const graph::Arc& a : arcs) {
+      matching = a.tail != a.head && free_for(a.tail, a.head) &&
+                 free_for(a.head, a.tail);
+      if (!matching) break;
+      partners[a.tail] = a.head;
+      partners[a.head] = a.tail;
+      if (full) {
+        roles[a.tail] = RoundRole::kExchange;
       } else {
-        partners[a.tail] = a.head;
-        partners[a.head] = a.tail;
         roles[a.tail] = RoundRole::kSend;
         roles[a.head] = RoundRole::kReceive;
       }
     }
-    cs.arcs_.insert(cs.arcs_.end(), canon.arcs.begin(), canon.arcs.end());
+    if (matching && full)
+      for (const graph::Arc& a : arcs)
+        if (roles[a.head] != RoundRole::kExchange) matching = false;
+    if (!matching)
+      fail(round_no, std::string("is not a valid ") + (full ? "full" : "half") +
+                         "-duplex matching");
+
+    // Store the round canonical: as authored when it is already strictly
+    // increasing, else a sorted, deduplicated copy.
+    const auto begin = cs.arcs_.end() - cs.arcs_.begin();
+    cs.arcs_.insert(cs.arcs_.end(), arcs.begin(), arcs.end());
+    if (std::adjacent_find(arcs.begin(), arcs.end(), std::greater_equal<>()) !=
+        arcs.end()) {
+      std::sort(cs.arcs_.begin() + begin, cs.arcs_.end());
+      cs.arcs_.erase(std::unique(cs.arcs_.begin() + begin, cs.arcs_.end()),
+                     cs.arcs_.end());
+    }
     cs.arc_begin_.push_back(static_cast<std::int32_t>(cs.arcs_.size()));
-    if (mode == Mode::kFullDuplex)
+    if (full) {
+      for (auto a = cs.arcs_.begin() + begin; a != cs.arcs_.end(); ++a)
+        if (a->tail < a->head) cs.pairs_.push_back(*a);
       cs.pair_begin_.push_back(static_cast<std::int32_t>(cs.pairs_.size()));
+    }
   }
   return cs;
 }

@@ -18,10 +18,11 @@
 // compile() performs the structural validation all consumers used to repeat
 // — every round a matching in the schedule's mode, every arc present in the
 // network (when given), endpoints in range, full-duplex opposite pairs —
-// and a successfully constructed CompiledSchedule records that proof in the
-// type: the simulator, auditor, delay-digraph builder, gap analysis, sweep
-// engine and search witness checks all execute compiled rounds without
-// re-checking anything.
+// in time linear in the arcs (plus a sort of any round not already in
+// canonical order), and a successfully constructed CompiledSchedule records
+// that proof in the type: the simulator, auditor, delay-digraph builder,
+// gap analysis, sweep engine and search witness checks all execute compiled
+// rounds without re-checking anything.
 #pragma once
 
 #include <cstdint>

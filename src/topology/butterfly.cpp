@@ -1,6 +1,8 @@
 #include "topology/butterfly.hpp"
 
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "topology/words.hpp"
 
@@ -23,20 +25,21 @@ graph::Digraph butterfly(int d, int D) {
   if (d < 2 || D < 1) throw std::invalid_argument("butterfly: need d >= 2, D >= 1");
   const std::int64_t n = butterfly_order(d, D);
   if (n > (1 << 24)) throw std::invalid_argument("butterfly: too large");
-  graph::Digraph g(static_cast<int>(n));
   const std::int64_t words = ipow(d, D);
+  std::vector<graph::Arc> arcs;
+  arcs.reserve(static_cast<std::size_t>(2 * D * words * d));
   for (int l = 1; l <= D; ++l) {
     for (std::int64_t x = 0; x < words; ++x) {
       const int u = butterfly_index(x, l, d, D);
       for (int a = 0; a < d; ++a) {
         const std::int64_t y = with_digit(x, l - 1, a, d);
         const int v = butterfly_index(y, l - 1, d, D);
-        g.add_edge(u, v);  // pairwise opposite arcs
+        arcs.push_back({u, v});  // pairwise opposite arcs
+        arcs.push_back({v, u});
       }
     }
   }
-  g.finalize();
-  return g;
+  return graph::Digraph(static_cast<int>(n), std::move(arcs));
 }
 
 }  // namespace sysgo::topology

@@ -1,21 +1,11 @@
 #include "topology/kautz.hpp"
 
 #include <stdexcept>
-#include <unordered_map>
+#include <utility>
 
 #include "topology/words.hpp"
 
 namespace sysgo::topology {
-namespace {
-
-// Pack a word over alphabet {0..d} into an int64 key (base d+1).
-std::int64_t pack(const std::vector<int>& w, int d) {
-  std::int64_t key = 0;
-  for (std::size_t i = w.size(); i-- > 0;) key = key * (d + 1) + w[i];
-  return key;
-}
-
-}  // namespace
 
 std::int64_t kautz_order(int d, int D) noexcept {
   return sat_mul(d + 1, ipow(d, D - 1));
@@ -46,27 +36,30 @@ graph::Digraph kautz_directed(int d, int D) {
   const std::int64_t n = kautz_order(d, D);
   if (n > (1 << 24)) throw std::invalid_argument("kautz: too large");
 
-  const auto words = kautz_words(d, D);
-  std::unordered_map<std::int64_t, int> index;
-  index.reserve(words.size() * 2);
-  for (std::size_t i = 0; i < words.size(); ++i)
-    index.emplace(pack(words[i], d), static_cast<int>(i));
-
-  graph::Digraph g(static_cast<int>(n));
-  std::vector<int> next(static_cast<std::size_t>(D));
-  for (std::size_t i = 0; i < words.size(); ++i) {
-    const auto& w = words[i];
-    // Left shift: next = x_{D-2} ... x_0 a; digit j of next = digit j-1 of w.
-    for (int j = D - 1; j >= 1; --j)
-      next[static_cast<std::size_t>(j)] = w[static_cast<std::size_t>(j) - 1];
-    for (int a = 0; a <= d; ++a) {
-      if (a == w[0]) continue;
-      next[0] = a;
-      g.add_arc(static_cast<int>(i), index.at(pack(next, d)));
+  // Rank r of word x_{D-1}…x_0 in kautz_words order: the top letter, then
+  // per lower position the index e of x_j among the d letters ≠ x_{j+1}.
+  // The left shift x_{D-2}…x_0·a keeps those indices and appends a's, so
+  // the successors of r are base·d + k (k < d) with
+  // base = x_{D-2}·d^{D-2} + (r mod d^{D-2}).
+  std::vector<graph::Arc> arcs;
+  arcs.reserve(static_cast<std::size_t>(n) * static_cast<std::size_t>(d));
+  if (D == 1) {
+    for (int x = 0; x <= d; ++x)
+      for (int a = 0; a <= d; ++a)
+        if (a != x) arcs.push_back({x, a});
+  } else {
+    const std::int64_t low = ipow(d, D - 2);
+    const std::int64_t block = low * d;  // d^{D-1}: words per top letter
+    for (std::int64_t r = 0; r < n; ++r) {
+      const std::int64_t top = r / block;
+      const std::int64_t e = (r / low) % d;
+      const std::int64_t next_top = e < top ? e : e + 1;
+      const std::int64_t base = next_top * low + r % low;
+      for (int k = 0; k < d; ++k)
+        arcs.push_back({static_cast<int>(r), static_cast<int>(base * d + k)});
     }
   }
-  g.finalize();
-  return g;
+  return graph::Digraph(static_cast<int>(n), std::move(arcs));
 }
 
 graph::Digraph kautz(int d, int D) { return kautz_directed(d, D).symmetric_closure(); }

@@ -1,6 +1,8 @@
 #include "topology/wrapped_butterfly.hpp"
 
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "topology/words.hpp"
 
@@ -26,8 +28,9 @@ graph::Digraph wrapped_butterfly_directed(int d, int D) {
     throw std::invalid_argument("wrapped_butterfly: need d >= 2, D >= 2");
   const std::int64_t n = wrapped_butterfly_order(d, D);
   if (n > (1 << 24)) throw std::invalid_argument("wrapped_butterfly: too large");
-  graph::Digraph g(static_cast<int>(n));
   const std::int64_t words = ipow(d, D);
+  std::vector<graph::Arc> arcs;
+  arcs.reserve(static_cast<std::size_t>(n) * static_cast<std::size_t>(d));
   for (int l = 0; l < D; ++l) {
     const int target_level = (l > 0) ? l - 1 : D - 1;
     const int changed_digit = (l > 0) ? l - 1 : D - 1;
@@ -35,12 +38,11 @@ graph::Digraph wrapped_butterfly_directed(int d, int D) {
       const int u = wrapped_butterfly_index(x, l, d, D);
       for (int a = 0; a < d; ++a) {
         const std::int64_t y = with_digit(x, changed_digit, a, d);
-        g.add_arc(u, wrapped_butterfly_index(y, target_level, d, D));
+        arcs.push_back({u, wrapped_butterfly_index(y, target_level, d, D)});
       }
     }
   }
-  g.finalize();
-  return g;
+  return graph::Digraph(static_cast<int>(n), std::move(arcs));
 }
 
 graph::Digraph wrapped_butterfly(int d, int D) {

@@ -12,11 +12,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "io/sweep_io.hpp"
 
@@ -270,6 +272,32 @@ TEST(Cli, SimulateReportsAnUnknownForcedKernel) {
       << bad.err;
   EXPECT_EQ(bad.out, "");
   std::remove(path.c_str());
+}
+
+
+// A bound cell at a huge period is answered in milliseconds: the delay sums
+// stop once their terms vanish.  The two records are the plain loop's.
+TEST(Cli, BoundAtHugePeriodIsFastAndUnchanged) {
+  const auto start = std::chrono::steady_clock::now();
+  const CliResult r = sysgo(
+      "sweep --families db --d 2 --D 3 --modes half,full --tasks bound"
+      " --periods 20000000");
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - start;
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_LT(took.count(), 20.0);
+  std::istringstream lines(r.out);
+  std::vector<std::string> records;
+  for (std::string line; std::getline(lines, line);)
+    if (line.rfind("db,", 0) == 0)
+      records.push_back(line.substr(0, line.rfind(',')));  // drop millis
+  const std::string tail = ",-1,-1,-1,-1,-1,-1,-1,-1,-1,-1";
+  EXPECT_EQ(records,
+            (std::vector<std::string>{
+                "db,2,0,half,bound,20000000,0,1,1,1.5876307466808308,"
+                "0.4765419035297368" + tail,
+                "db,2,0,full,bound,20000000,0,1,1,1.2938153733404159,"
+                "0.22709219458976954" + tail}));
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 namespace sysgo::linalg {
 namespace {
@@ -75,6 +78,33 @@ TEST(Polynomial, GeometricSumLimit) {
 TEST(Polynomial, MonotoneInLambda) {
   for (int i = 2; i <= 6; ++i)
     EXPECT_LT(delay_polynomial(i, 0.3), delay_polynomial(i, 0.7));
+}
+
+
+// The sums stop once a term no longer moves them; that must return the
+// plain loop's value bit for bit, up to a million terms.
+TEST(Polynomial, EarlyStopIsBitIdenticalToThePlainLoop) {
+  std::vector<int> checkpoints;
+  for (int i = 0; i <= 200; ++i) checkpoints.push_back(i);
+  for (int i : {1000, 4096, 10000, 65536, 100000, 500000, 1000000})
+    checkpoints.push_back(i);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (double l : {0.0, 1e-9, 0.3, 0.618, 0.99, 1.0 - 1e-12, 1.0, -0.5, -0.99}) {
+    double p = 0.0, p_term = 1.0;  // delay_polynomial's plain loop
+    double g = 0.0, g_term = l;    // geometric_sum's plain loop
+    std::size_t next = 0;
+    for (int i = 0; next < checkpoints.size(); ++i) {
+      if (i == checkpoints[next]) {
+        ASSERT_EQ(bits(delay_polynomial(i, l)), bits(p)) << "l=" << l << " i=" << i;
+        ASSERT_EQ(bits(geometric_sum(i, l)), bits(g)) << "l=" << l << " k=" << i;
+        ++next;
+      }
+      p += p_term;
+      p_term *= l * l;
+      g += g_term;
+      g_term *= l;
+    }
+  }
 }
 
 }  // namespace
