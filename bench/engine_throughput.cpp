@@ -1,15 +1,12 @@
-// Engine throughput (ours): gossip-simulator round rate and power-iteration
-// norm computation, serial vs threaded — the ablation benches of DESIGN.md.
+// Engine throughput (ours): gossip-simulator round rate, serial vs threaded
+// column slices — the ablation benches of DESIGN.md.
 #include <benchmark/benchmark.h>
 
 #include "bench_json.hpp"
 
-#include "core/delay_digraph.hpp"
-#include "core/delay_matrix.hpp"
-#include "linalg/power_iteration.hpp"
 #include "protocol/builders.hpp"
-#include "protocol/classic_protocols.hpp"
 #include "simulator/gossip_sim.hpp"
+#include "support/classic_protocols.hpp"
 #include "topology/de_bruijn.hpp"
 
 namespace {
@@ -48,38 +45,6 @@ void BM_GossipDeBruijn(benchmark::State& state) {
 BENCHMARK(BM_GossipDeBruijn)
     ->Name("engine/gossip_debruijn")
     ->DenseRange(6, 10)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_DelayMatrixNorm(benchmark::State& state) {
-  const int D = static_cast<int>(state.range(0));
-  const bool parallel = state.range(1) != 0;
-  const auto sched = sysgo::protocol::edge_coloring_schedule(
-      sysgo::topology::de_bruijn(2, D), Mode::kHalfDuplex);
-  const sysgo::core::DelayDigraph dg(sched, 2 * sched.period_length());
-  for (auto _ : state) {
-    const double norm = sysgo::core::delay_matrix_norm(dg, 0.5, parallel);
-    benchmark::DoNotOptimize(norm);
-  }
-  state.counters["nodes"] = static_cast<double>(dg.node_count());
-  state.SetLabel(parallel ? "threaded" : "serial");
-}
-BENCHMARK(BM_DelayMatrixNorm)
-    ->Name("engine/delay_matrix_norm")
-    ->ArgsProduct({{5, 7, 9}, {0, 1}})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_DelayDigraphBuild(benchmark::State& state) {
-  const int D = static_cast<int>(state.range(0));
-  const auto sched = sysgo::protocol::edge_coloring_schedule(
-      sysgo::topology::de_bruijn(2, D), Mode::kHalfDuplex);
-  for (auto _ : state) {
-    sysgo::core::DelayDigraph dg(sched, 2 * sched.period_length());
-    benchmark::DoNotOptimize(dg);
-  }
-}
-BENCHMARK(BM_DelayDigraphBuild)
-    ->Name("engine/delay_digraph_build")
-    ->DenseRange(5, 9)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -18,8 +18,8 @@
 #include "core/audit.hpp"
 #include "engine/sweep.hpp"
 #include "protocol/builders.hpp"
-#include "protocol/classic_protocols.hpp"
 #include "simulator/gossip_sim.hpp"
+#include "support/classic_protocols.hpp"
 #include "topology/classic.hpp"
 #include "topology/de_bruijn.hpp"
 #include "topology/kautz.hpp"

@@ -1,5 +1,6 @@
-// Export the reproduced paper tables as CSV files and a network as DOT —
-// the artifacts a downstream user plots or visualizes.
+// Export the reproduced paper tables as CSV files and a schedule in the
+// sysgo-schedule text format — the artifacts a downstream user plots or
+// feeds back to `sysgo audit` / `sysgo simulate`.
 //
 //   $ ./export_tables [output-dir]
 #include <cstdio>
@@ -7,9 +8,8 @@
 #include <fstream>
 
 #include "io/csv.hpp"
-#include "io/dot.hpp"
 #include "io/protocol_text.hpp"
-#include "protocol/classic_protocols.hpp"
+#include "protocol/builders.hpp"
 #include "topology/de_bruijn.hpp"
 
 int main(int argc, char** argv) {
@@ -29,13 +29,11 @@ int main(int argc, char** argv) {
   write("fig8_full_duplex.csv", sysgo::io::fig8_csv());
 
   const auto g = sysgo::topology::de_bruijn(2, 4);
-  write("de_bruijn_2_4.dot", sysgo::io::to_dot(g, "DB24"));
+  const auto sched = sysgo::protocol::edge_coloring_schedule(
+      g, sysgo::protocol::Mode::kHalfDuplex);
+  write("de_bruijn_2_4_schedule.txt", sysgo::io::serialize(sched));
 
-  const auto sched =
-      sysgo::protocol::hypercube_schedule(3, sysgo::protocol::Mode::kFullDuplex);
-  write("hypercube_schedule.txt", sysgo::io::serialize(sched));
-
-  std::printf("\nRender the network with:  dot -Tpng %s/de_bruijn_2_4.dot\n",
-              dir.c_str());
+  std::printf("\nAudit the schedule with:  sysgo audit %s\n",
+              (dir / "de_bruijn_2_4_schedule.txt").c_str());
   return 0;
 }

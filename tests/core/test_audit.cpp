@@ -12,8 +12,8 @@
 #include "linalg/polynomial.hpp"
 #include "linalg/roots.hpp"
 #include "protocol/builders.hpp"
-#include "protocol/classic_protocols.hpp"
 #include "simulator/gossip_sim.hpp"
+#include "support/classic_protocols.hpp"
 #include "topology/classic.hpp"
 #include "topology/de_bruijn.hpp"
 #include "topology/topology.hpp"

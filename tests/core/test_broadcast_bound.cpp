@@ -1,4 +1,4 @@
-#include "core/broadcast_bound.hpp"
+#include "support/broadcast_bound.hpp"
 
 #include <gtest/gtest.h>
 

@@ -1,8 +1,8 @@
-#include "core/delay_digraph.hpp"
+#include "support/delay_digraph.hpp"
 
 #include <gtest/gtest.h>
 
-#include "protocol/classic_protocols.hpp"
+#include "support/classic_protocols.hpp"
 
 namespace sysgo::core {
 namespace {

@@ -1,11 +1,11 @@
-#include "core/delay_matrix.hpp"
+#include "support/delay_matrix.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "core/audit.hpp"
-#include "protocol/classic_protocols.hpp"
+#include "support/classic_protocols.hpp"
 
 namespace sysgo::core {
 namespace {

@@ -1,4 +1,4 @@
-#include "core/full_duplex.hpp"
+#include "support/full_duplex.hpp"
 
 #include <gtest/gtest.h>
 

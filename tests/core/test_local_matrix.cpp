@@ -1,4 +1,4 @@
-#include "core/local_matrix.hpp"
+#include "support/local_matrix.hpp"
 
 #include <gtest/gtest.h>
 
@@ -6,7 +6,7 @@
 
 #include "core/bounds.hpp"
 #include "linalg/polynomial.hpp"
-#include "linalg/power_iteration.hpp"
+#include "support/power_iteration.hpp"
 #include "util/rng.hpp"
 
 namespace sysgo::core {

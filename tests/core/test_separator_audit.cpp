@@ -2,9 +2,9 @@
 
 #include "core/audit.hpp"
 #include "protocol/builders.hpp"
-#include "protocol/classic_protocols.hpp"
 #include "separator/separator.hpp"
 #include "simulator/gossip_sim.hpp"
+#include "support/classic_protocols.hpp"
 #include "topology/butterfly.hpp"
 #include "topology/classic.hpp"
 #include "topology/topology.hpp"

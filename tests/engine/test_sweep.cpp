@@ -7,9 +7,9 @@
 
 #include "core/separator_bound.hpp"
 #include "protocol/builders.hpp"
-#include "protocol/classic_protocols.hpp"
 #include "search/solver.hpp"
 #include "simulator/gossip_sim.hpp"
+#include "support/classic_protocols.hpp"
 #include "synth/synthesizer.hpp"
 #include "topology/classic.hpp"
 #include "topology/de_bruijn.hpp"

@@ -8,10 +8,10 @@
 #include <cmath>
 
 #include "core/audit.hpp"
-#include "core/delay_matrix.hpp"
 #include "protocol/builders.hpp"
 #include "simulator/broadcast_sim.hpp"
 #include "simulator/gossip_sim.hpp"
+#include "support/delay_matrix.hpp"
 #include "topology/de_bruijn.hpp"
 
 namespace sysgo {

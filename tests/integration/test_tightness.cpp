@@ -14,9 +14,9 @@
 #include "core/audit.hpp"
 #include "core/bounds.hpp"
 #include "protocol/builders.hpp"
-#include "protocol/knodel_protocols.hpp"
 #include "search/solver.hpp"
 #include "simulator/gossip_sim.hpp"
+#include "support/knodel_protocols.hpp"
 #include "topology/classic.hpp"
 #include "topology/knodel.hpp"
 #include "util/rng.hpp"

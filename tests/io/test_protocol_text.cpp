@@ -8,11 +8,11 @@
 #include <vector>
 
 #include "protocol/builders.hpp"
-#include "protocol/classic_protocols.hpp"
 #include "protocol/compiled.hpp"
-#include "protocol/knodel_protocols.hpp"
-#include "protocol/tree_protocols.hpp"
-#include "protocol/wbf_protocols.hpp"
+#include "support/classic_protocols.hpp"
+#include "support/knodel_protocols.hpp"
+#include "support/tree_protocols.hpp"
+#include "support/wbf_protocols.hpp"
 #include "topology/classic.hpp"
 #include "topology/topology.hpp"
 #include "util/rng.hpp"

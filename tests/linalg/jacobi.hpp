@@ -9,7 +9,7 @@
 
 #include <vector>
 
-#include "linalg/matrix.hpp"
+#include "support/matrix.hpp"
 
 namespace sysgo::linalg {
 

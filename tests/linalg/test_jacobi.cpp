@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "linalg/power_iteration.hpp"
+#include "support/power_iteration.hpp"
 #include "util/rng.hpp"
 
 namespace sysgo::linalg {

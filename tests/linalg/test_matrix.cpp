@@ -1,4 +1,4 @@
-#include "linalg/matrix.hpp"
+#include "support/matrix.hpp"
 
 #include <gtest/gtest.h>
 

@@ -6,8 +6,8 @@
 #include <cmath>
 
 #include "jacobi.hpp"
-#include "linalg/matrix.hpp"
-#include "linalg/power_iteration.hpp"
+#include "support/matrix.hpp"
+#include "support/power_iteration.hpp"
 #include "util/rng.hpp"
 
 namespace sysgo::linalg {

@@ -1,4 +1,4 @@
-#include "linalg/power_iteration.hpp"
+#include "support/power_iteration.hpp"
 
 #include <gtest/gtest.h>
 

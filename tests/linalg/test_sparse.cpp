@@ -1,4 +1,4 @@
-#include "linalg/sparse.hpp"
+#include "support/sparse.hpp"
 
 #include <gtest/gtest.h>
 

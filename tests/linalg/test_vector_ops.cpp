@@ -1,4 +1,4 @@
-#include "linalg/vector_ops.hpp"
+#include "support/vector_ops.hpp"
 
 #include <gtest/gtest.h>
 

@@ -1,4 +1,4 @@
-#include "protocol/classic_protocols.hpp"
+#include "support/classic_protocols.hpp"
 
 #include <gtest/gtest.h>
 

@@ -5,7 +5,7 @@
 #include <algorithm>
 
 #include "protocol/builders.hpp"
-#include "protocol/classic_protocols.hpp"
+#include "support/classic_protocols.hpp"
 #include "topology/classic.hpp"
 #include "topology/de_bruijn.hpp"
 #include "util/rng.hpp"

@@ -1,4 +1,4 @@
-#include "protocol/knodel_protocols.hpp"
+#include "support/knodel_protocols.hpp"
 
 #include <gtest/gtest.h>
 

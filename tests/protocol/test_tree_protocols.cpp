@@ -1,4 +1,4 @@
-#include "protocol/tree_protocols.hpp"
+#include "support/tree_protocols.hpp"
 
 #include <gtest/gtest.h>
 

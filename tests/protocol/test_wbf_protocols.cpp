@@ -1,4 +1,4 @@
-#include "protocol/wbf_protocols.hpp"
+#include "support/wbf_protocols.hpp"
 
 #include <gtest/gtest.h>
 

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "protocol/classic_protocols.hpp"
 #include "simulator/gossip_sim.hpp"
+#include "support/classic_protocols.hpp"
 
 namespace sysgo::simulator {
 namespace {

@@ -5,9 +5,9 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "protocol/classic_protocols.hpp"
 #include "reference_gossip.hpp"
 #include "simulator/batch.hpp"
+#include "support/classic_protocols.hpp"
 
 namespace sysgo::simulator {
 namespace {
