@@ -2,7 +2,7 @@
 // half-duplex/directed gossip on Butterfly, Wrapped Butterfly, de Bruijn
 // and Kautz families (Theorem 5.1 + Lemma 3.1), s = 3..8.
 //
-// The table is produced by the sweep engine (engine::fig5_spec) rather than
+// The table is produced by the sweep engine over the grid below rather than
 // a bespoke families×periods loop; the benchmark measures a full engine
 // sweep and the single-entry separator-bound kernel.
 //
@@ -16,17 +16,29 @@
 
 #include "core/separator_bound.hpp"
 #include "core/tables.hpp"
-#include "engine/figures.hpp"
+#include "engine/scenario.hpp"
 #include "engine/sweep.hpp"
 #include "util/table.hpp"
 
 namespace {
 
+// The Fig. 5 grid: all seven families × d ∈ {2, 3}, half-duplex separator
+// bounds at s = 3..8.
+sysgo::engine::ScenarioSpec fig5_spec() {
+  sysgo::engine::ScenarioSpec spec;
+  spec.families = sysgo::engine::all_families();
+  spec.degrees = {2, 3};
+  spec.modes = {sysgo::protocol::Mode::kHalfDuplex};
+  spec.periods = {3, 4, 5, 6, 7, 8};
+  spec.tasks = {sysgo::engine::Task::kBound};
+  return spec;
+}
+
 void print_fig5() {
   std::printf(
       "=== Fig. 5: systolic half-duplex/directed bounds for specific networks ===\n");
   std::printf("entries: e(s) such that t >= e(s)*log2(n)*(1 - o(1))\n\n");
-  const auto spec = sysgo::engine::fig5_spec();
+  const auto spec = fig5_spec();
   std::vector<std::string> header{"network", "alpha", "l"};
   for (int s : spec.periods) header.push_back("s=" + sysgo::core::period_label(s));
   sysgo::util::Table table(header);
@@ -71,7 +83,7 @@ BENCHMARK(BM_Fig5Entry)
 void BM_Fig5Sweep(benchmark::State& state) {
   for (auto _ : state) {
     sysgo::engine::SweepRunner runner;
-    const auto records = runner.run(sysgo::engine::fig5_spec());
+    const auto records = runner.run(fig5_spec());
     benchmark::DoNotOptimize(records);
   }
 }

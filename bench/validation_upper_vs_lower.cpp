@@ -3,9 +3,6 @@
 // e(s)·log2(n) coefficients.  Reproduces the paper's upper-vs-lower "shape":
 // the certified bound always sits below the measured time, and the audit's
 // per-vertex refinement is at least as strong as the general e(s).
-//
-// The corpus runs through engine::run_cases (simulate + audit per case on
-// the sweep engine's thread pool) instead of a bespoke measure/audit loop.
 #include <benchmark/benchmark.h>
 
 #include "bench_json.hpp"
@@ -16,8 +13,9 @@
 #include <vector>
 
 #include "core/audit.hpp"
-#include "engine/sweep.hpp"
+#include "engine/scenario.hpp"
 #include "protocol/builders.hpp"
+#include "protocol/compiled.hpp"
 #include "simulator/gossip_sim.hpp"
 #include "support/classic_protocols.hpp"
 #include "topology/classic.hpp"
@@ -30,8 +28,15 @@ namespace {
 
 using sysgo::protocol::Mode;
 
-std::vector<sysgo::engine::ScheduleCase> corpus() {
-  std::vector<sysgo::engine::ScheduleCase> cases;
+// A named concrete schedule: measured gossip time vs its certified audit.
+struct Case {
+  std::string name;
+  sysgo::protocol::SystolicSchedule schedule;
+  int max_rounds;
+};
+
+std::vector<Case> corpus() {
+  std::vector<Case> cases;
   cases.push_back({"path(32) hd", sysgo::protocol::path_schedule(32, Mode::kHalfDuplex),
                    2000});
   cases.push_back({"cycle(32) hd",
@@ -68,19 +73,20 @@ void print_validation() {
   std::printf("=== Validation: measured systolic gossip vs certified bounds ===\n\n");
   sysgo::util::Table table({"protocol", "n", "s", "measured t", "cert. bound",
                             "audit e", "general e(s)", "ok"});
-  const auto cases = corpus();
-  const auto records = sysgo::engine::run_cases(cases);
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const auto& r = records[i];
+  for (const Case& c : corpus()) {
+    const auto compiled = sysgo::protocol::CompiledSchedule::compile(c.schedule);
+    const int s = compiled.period_length();
+    const int measured = sysgo::simulator::gossip_time(compiled, c.max_rounds);
+    const auto audit = sysgo::core::audit_schedule(compiled);
     const double gen =
-        r.s >= 3 ? sysgo::core::e_general(
-                       r.s, sysgo::engine::duplex_of(cases[i].schedule.mode))
-                 : 0.0;
-    const bool ok = r.measured > 0 && r.audit.round_lower_bound <= r.measured;
-    table.add_row({r.name, std::to_string(r.n), std::to_string(r.s),
-                   std::to_string(r.measured),
-                   std::to_string(r.audit.round_lower_bound),
-                   sysgo::util::format_fixed(r.audit.e_coeff, 4),
+        s >= 3 ? sysgo::core::e_general(
+                     s, sysgo::engine::duplex_of(c.schedule.mode))
+               : 0.0;
+    const bool ok = measured > 0 && audit.round_lower_bound <= measured;
+    table.add_row({c.name, std::to_string(compiled.n()), std::to_string(s),
+                   std::to_string(measured),
+                   std::to_string(audit.round_lower_bound),
+                   sysgo::util::format_fixed(audit.e_coeff, 4),
                    sysgo::util::format_fixed(gen, 4), ok ? "yes" : "NO"});
   }
   std::printf("%s\n", table.str().c_str());

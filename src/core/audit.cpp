@@ -130,11 +130,6 @@ std::vector<VertexActivity> vertex_activities(
   return acts;
 }
 
-std::vector<VertexActivity> vertex_activities(
-    const protocol::SystolicSchedule& sched) {
-  return vertex_activities(protocol::CompiledSchedule::compile(sched));
-}
-
 double vertex_norm_bound(const VertexActivity& activity, int s, double lambda,
                          protocol::Mode mode) {
   if (mode != protocol::Mode::kFullDuplex)
@@ -151,10 +146,6 @@ double audit_norm_bound(const protocol::CompiledSchedule& cs, double lambda) {
   if (!(lambda > 0.0 && lambda < 1.0))
     throw std::invalid_argument("audit_norm_bound: need 0 < lambda < 1");
   return ClassAudit(cs).evaluate(lambda).bound;
-}
-
-double audit_norm_bound(const protocol::SystolicSchedule& sched, double lambda) {
-  return audit_norm_bound(protocol::CompiledSchedule::compile(sched), lambda);
 }
 
 AuditResult audit_schedule(const protocol::CompiledSchedule& cs) {
@@ -184,60 +175,6 @@ AuditResult audit_schedule(const protocol::SystolicSchedule& sched) {
   if (sched.period.empty())
     throw std::invalid_argument("audit_schedule: empty period");
   return audit_schedule(protocol::CompiledSchedule::compile(sched));
-}
-
-SeparatorAuditResult audit_schedule_with_separator(
-    const protocol::CompiledSchedule& cs, int distance, std::size_t min_size) {
-  cs.require_periodic("audit_schedule_with_separator");
-  if (distance < 1 || min_size == 0)
-    throw std::invalid_argument(
-        "audit_schedule_with_separator: need distance >= 1, min_size >= 1");
-
-  ClassAudit classes(cs);
-  const double log_c = std::log2(static_cast<double>(min_size));
-
-  // For a fixed λ with F = audit_norm_bound(λ) <= 1, find the smallest t
-  // (>= distance - 1, since items must traverse that many arcs) with
-  //   t·log2(1/λ) + log2(t - distance + 2) + log2(t)
-  //     >= log_c + (distance - 1)·log2(1/F).
-  const auto certified = [&](double lambda) {
-    const double f = classes.evaluate(lambda).bound;
-    // f > 1: λ not certified.  f == 0: no vertex relays, so no finite
-    // certificate applies (gossip across distance >= 2 is impossible anyway).
-    if (f > 1.0 || f <= 0.0) return 0;
-    const double log_inv = std::log2(1.0 / lambda);
-    const double rhs = log_c + (distance - 1) * std::log2(1.0 / f);
-    // Floor: an item advances at most one arc per round, so t >= distance
-    // independently of the matrix argument (and t - d + 2 stays positive).
-    int t = std::max(1, distance);
-    while (t * log_inv + std::log2(static_cast<double>(t - distance + 2)) +
-               std::log2(static_cast<double>(t)) <
-           rhs) {
-      ++t;
-      if (t > (1 << 28)) break;  // defensive; never hit in practice
-    }
-    return t;
-  };
-
-  // Scan λ on a grid: the objective trades log2(1/λ) against the
-  // (distance-1)·log2(1/F) credit, so the maximizer is interior.
-  SeparatorAuditResult best;
-  constexpr int kGrid = 512;
-  for (int i = 1; i < kGrid; ++i) {
-    const double lambda = static_cast<double>(i) / kGrid;
-    const int t = certified(lambda);
-    if (t > best.round_lower_bound) {
-      best.round_lower_bound = t;
-      best.lambda = lambda;
-    }
-  }
-  return best;
-}
-
-SeparatorAuditResult audit_schedule_with_separator(
-    const protocol::SystolicSchedule& sched, int distance, std::size_t min_size) {
-  return audit_schedule_with_separator(protocol::CompiledSchedule::compile(sched),
-                                       distance, min_size);
 }
 
 }  // namespace sysgo::core

@@ -16,11 +16,10 @@
 // Cost: the bound depends on a vertex only through its per-period role
 // sequence, so the audit walks the role tables once to group vertices into
 // activation classes (a handful for the paper's families, not growing with
-// n) and then does O(classes) work per λ — the bisection for λ*, the worst
-// vertex at λ*, and the separator audit's λ grid.
+// n) and then does O(classes) work per λ — the bisection for λ* and the
+// worst vertex at λ*.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "core/bounds.hpp"
@@ -41,11 +40,6 @@ struct VertexActivity {
 [[nodiscard]] std::vector<VertexActivity> vertex_activities(
     const protocol::CompiledSchedule& cs);
 
-/// Summaries for every vertex of a schedule's period (compiles once, which
-/// validates the schedule, then reads the tables).
-[[nodiscard]] std::vector<VertexActivity> vertex_activities(
-    const protocol::SystolicSchedule& sched);
-
 /// The certified per-vertex local-norm bound at λ: half-duplex uses
 /// Lemma 4.3 with the vertex's (L, R) totals; full-duplex uses cyclic gap
 /// sums with ‖A‖₂ <= √(‖A‖₁·‖A‖∞).  s is the schedule period.
@@ -54,10 +48,7 @@ struct VertexActivity {
 
 /// Certified upper bound on ‖M(λ)‖ for this schedule (max over vertices of
 /// the per-vertex local-norm bound, evaluated once per activation class).
-/// Increasing in λ.  The schedule overload compiles per call — in a λ loop,
-/// compile once and use the compiled overload.
-[[nodiscard]] double audit_norm_bound(const protocol::SystolicSchedule& sched,
-                                      double lambda);
+/// Increasing in λ.
 [[nodiscard]] double audit_norm_bound(const protocol::CompiledSchedule& cs,
                                       double lambda);
 
@@ -76,24 +67,5 @@ struct AuditResult {
 /// first.
 [[nodiscard]] AuditResult audit_schedule(const protocol::CompiledSchedule& cs);
 [[nodiscard]] AuditResult audit_schedule(const protocol::SystolicSchedule& sched);
-
-/// Theorem 5.1 applied to a concrete schedule and a concrete separator:
-/// given BFS-verified vertex sets V1, V2 at distance >= `distance` with
-/// min(|V1|, |V2|) >= `min_size`, the proof of Theorem 5.1 yields, for any
-/// λ with certified ‖M(λ)‖ <= 1, the smallest t satisfying
-///
-///   t·log2(1/λ) >= log2(c) − (dist−1)·log2(‖M(λ)‖bound)
-///                  − log2(t − dist + 2) − log2(t).
-///
-/// Returns the best such t over λ.  Strictly stronger than audit_schedule
-/// when the network has far-apart large sets (e.g. Butterfly levels).
-struct SeparatorAuditResult {
-  double lambda = 0.0;
-  int round_lower_bound = 0;
-};
-[[nodiscard]] SeparatorAuditResult audit_schedule_with_separator(
-    const protocol::CompiledSchedule& cs, int distance, std::size_t min_size);
-[[nodiscard]] SeparatorAuditResult audit_schedule_with_separator(
-    const protocol::SystolicSchedule& sched, int distance, std::size_t min_size);
 
 }  // namespace sysgo::core

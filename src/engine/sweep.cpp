@@ -4,6 +4,7 @@
 #include <array>
 #include <limits>
 
+#include "core/audit.hpp"
 #include "core/separator_bound.hpp"
 #include "graph/search.hpp"
 #include "obs/metrics.hpp"
@@ -371,33 +372,6 @@ std::vector<SweepRecord> SweepRunner::run_jobs(const std::vector<SweepJob>& jobs
 
 std::vector<SweepRecord> SweepRunner::run(const ScenarioSpec& spec) {
   return run_jobs(spec.expand(), spec.limits);
-}
-
-// ---------------------------------------------------------------- run_cases
-
-std::vector<CaseRecord> run_cases(const std::vector<ScheduleCase>& cases,
-                                  const SweepOptions& opts) {
-  std::unique_ptr<util::ThreadPool> own_pool;
-  if (opts.threads > 1)
-    own_pool = std::make_unique<util::ThreadPool>(opts.threads - 1);
-  std::vector<CaseRecord> records(cases.size());
-  run_indexed_with_options(opts, own_pool.get(), cases.size(),
-                           [&](std::size_t i) {
-                             const obs::WallTimer timer;
-                             const ScheduleCase& c = cases[i];
-                             CaseRecord& r = records[i];
-                             r.name = c.name;
-                             r.n = c.schedule.n;
-                             r.s = c.schedule.period_length();
-                             const auto compiled =
-                                 protocol::CompiledSchedule::compile(c.schedule);
-                             thread_local simulator::GossipArena arena;
-                             r.measured = simulator::gossip_time(
-                                 compiled, c.max_rounds, {}, arena);
-                             r.audit = core::audit_schedule(compiled);
-                             r.millis = timer.millis();
-                           });
-  return records;
 }
 
 }  // namespace sysgo::engine

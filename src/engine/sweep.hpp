@@ -17,7 +17,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/audit.hpp"
 #include "engine/scenario.hpp"
 #include "graph/digraph.hpp"
 #include "protocol/compiled.hpp"
@@ -149,26 +148,5 @@ class SweepRunner {
   std::atomic<std::size_t> store_hits_{0};
   std::atomic<std::size_t> store_conflicts_{0};
 };
-
-/// A named concrete schedule to validate (measured time + certified audit);
-/// the corpus form used by the validation harness.
-struct ScheduleCase {
-  std::string name;
-  protocol::SystolicSchedule schedule;
-  int max_rounds = 1 << 20;
-};
-
-struct CaseRecord {
-  std::string name;
-  int n = 0;
-  int s = 0;  // schedule period
-  int measured = -1;  // gossip time; -1 when incomplete within max_rounds
-  core::AuditResult audit{};
-  double millis = 0.0;
-};
-
-/// Run every case (simulate + audit) on the pool; records in corpus order.
-[[nodiscard]] std::vector<CaseRecord> run_cases(
-    const std::vector<ScheduleCase>& cases, const SweepOptions& opts = {});
 
 }  // namespace sysgo::engine

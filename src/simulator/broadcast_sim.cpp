@@ -1,9 +1,6 @@
 #include "simulator/broadcast_sim.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-
-#include "simulator/gossip_sim.hpp"
 
 namespace sysgo::simulator {
 namespace {
@@ -28,15 +25,6 @@ int step_reach(std::span<const sysgo::graph::Arc> arcs, std::vector<int>& reach,
 
 }  // namespace
 
-std::vector<int> broadcast_reach(const protocol::Protocol& p, int src) {
-  std::vector<int> reach(static_cast<std::size_t>(p.n), -1);
-  reach[static_cast<std::size_t>(src)] = 0;
-  std::vector<int> newly;
-  int round_no = 0;
-  for (const auto& r : p.rounds) step_reach(r.arcs, reach, newly, ++round_no);
-  return reach;
-}
-
 std::vector<int> broadcast_reach(const protocol::CompiledSchedule& cs, int src) {
   if (cs.periodic())  // periodic schedules go through broadcast_time
     throw std::invalid_argument(
@@ -47,19 +35,6 @@ std::vector<int> broadcast_reach(const protocol::CompiledSchedule& cs, int src) 
   for (int r = 0; r < cs.round_count(); ++r)
     step_reach(cs.round_arcs(r), reach, newly, r + 1);
   return reach;
-}
-
-int broadcast_time(const protocol::SystolicSchedule& sched, int src, int max_rounds) {
-  std::vector<int> reach(static_cast<std::size_t>(sched.n), -1);
-  reach[static_cast<std::size_t>(src)] = 0;
-  int informed = 1;
-  if (informed == sched.n) return 0;  // n == 1: consistent with gossip_time
-  std::vector<int> newly;
-  for (int i = 1; i <= max_rounds; ++i) {
-    informed += step_reach(sched.round_at(i).arcs, reach, newly, i);
-    if (informed == sched.n) return i;
-  }
-  return -1;
 }
 
 int broadcast_time(const protocol::CompiledSchedule& cs, int src, int max_rounds) {
@@ -77,27 +52,6 @@ int broadcast_time(const protocol::CompiledSchedule& cs, int src, int max_rounds
     if (++r == rounds) r = 0;
   }
   return -1;
-}
-
-bool achieves_gossip(const protocol::Protocol& p) {
-  return gossip_time(protocol::CompiledSchedule::compile(p), p.length()) >= 0;
-}
-
-std::vector<std::vector<int>> arrival_times(const protocol::Protocol& p) {
-  std::vector<std::vector<int>> out;
-  out.reserve(static_cast<std::size_t>(p.n));
-  for (int src = 0; src < p.n; ++src) out.push_back(broadcast_reach(p, src));
-  return out;
-}
-
-int gossip_completion_from_arrivals(const std::vector<std::vector<int>>& arrivals) {
-  int worst = 0;
-  for (const auto& row : arrivals)
-    for (int t : row) {
-      if (t == -1) return -1;
-      worst = std::max(worst, t);
-    }
-  return worst;
 }
 
 }  // namespace sysgo::simulator

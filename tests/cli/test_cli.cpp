@@ -200,6 +200,16 @@ TEST(Cli, StrayArgumentsPrintUsage) {
   EXPECT_EQ(sysgo("kernels --have scalar").code, 0);
 }
 
+// The paper tables come from `sysgo table`; `sweep` has no figure names.
+TEST(Cli, SweepFigureNamesAreUnknownFlags) {
+  for (const char* args : {"sweep fig5", "sweep fig6"}) {
+    const CliResult r = sysgo(args);
+    EXPECT_EQ(r.code, 2) << args;
+    EXPECT_TRUE(contains(r.err, "unknown sweep flag: fig")) << args;
+    EXPECT_EQ(r.out, "") << args;
+  }
+}
+
 TEST(Cli, TaskNeedingDimensionsWithoutDIsRejected) {
   expect_rejected("sweep --families db --tasks simulate",
                   "task 'simulate' needs concrete dimensions: pass --D");

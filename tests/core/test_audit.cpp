@@ -26,8 +26,8 @@ using protocol::Mode;
 
 TEST(Audit, VertexActivitiesOnPathSchedule) {
   // P4 half-duplex, period 4: rounds {(0,1),(2,3)}, {(1,2)}, {(1,0),(3,2)}, {(2,1)}.
-  const auto sched = protocol::path_schedule(4, Mode::kHalfDuplex);
-  const auto acts = vertex_activities(sched);
+  const auto acts = vertex_activities(protocol::CompiledSchedule::compile(
+      protocol::path_schedule(4, Mode::kHalfDuplex)));
   ASSERT_EQ(acts.size(), 4u);
   // Endpoint 0: one in-round, one out-round per period.
   EXPECT_EQ(acts[0].left_rounds, 1);
@@ -38,8 +38,9 @@ TEST(Audit, VertexActivitiesOnPathSchedule) {
 }
 
 TEST(Audit, NormBoundIncreasingInLambda) {
-  const auto sched = protocol::cycle_schedule(8, Mode::kHalfDuplex);
-  EXPECT_LT(audit_norm_bound(sched, 0.3), audit_norm_bound(sched, 0.6));
+  const auto cs = protocol::CompiledSchedule::compile(
+      protocol::cycle_schedule(8, Mode::kHalfDuplex));
+  EXPECT_LT(audit_norm_bound(cs, 0.3), audit_norm_bound(cs, 0.6));
 }
 
 TEST(Audit, EvenCycleMatchesGeneralS4Bound) {
@@ -109,10 +110,11 @@ TEST(Audit, IdleRoundsDoNotWeakenTheCertificate) {
 }
 
 TEST(Audit, WorstVertexIsARelay) {
-  const auto sched = protocol::path_schedule(8, Mode::kHalfDuplex);
-  const auto res = audit_schedule(sched);
+  const auto cs = protocol::CompiledSchedule::compile(
+      protocol::path_schedule(8, Mode::kHalfDuplex));
+  const auto res = audit_schedule(cs);
   ASSERT_GE(res.worst_vertex, 0);
-  const auto acts = vertex_activities(sched);
+  const auto acts = vertex_activities(cs);
   EXPECT_GT(acts[static_cast<std::size_t>(res.worst_vertex)].left_rounds, 0);
   EXPECT_GT(acts[static_cast<std::size_t>(res.worst_vertex)].right_rounds, 0);
 }
@@ -148,8 +150,6 @@ TEST(Audit, CompiledEntryPointsRejectFiniteProtocols) {
   const auto finite = protocol::CompiledSchedule::compile(p);
   EXPECT_THROW((void)audit_schedule(finite), std::invalid_argument);
   EXPECT_THROW((void)audit_norm_bound(finite, 0.5), std::invalid_argument);
-  EXPECT_THROW((void)audit_schedule_with_separator(finite, 2, 2),
-               std::invalid_argument);
 }
 
 TEST(Audit, NonRelayingScheduleDegenerates) {
@@ -163,9 +163,8 @@ TEST(Audit, NonRelayingScheduleDegenerates) {
   EXPECT_GT(res.lambda_star, 0.9);  // norm below 1 for all λ
 }
 
-// The audit must be a pure function of the compiled representation:
-// compiled and schedule entry points agree bit-for-bit, and activities
-// derived from the role tables equal the legacy arc-walk summaries.
+// The audit must be a pure function of the compiled representation: the
+// schedule entry point (which compiles first) agrees bit for bit.
 TEST(Audit, CompiledEntryPointsMatchScheduleEntryPoints) {
   const std::vector<protocol::SystolicSchedule> corpus = {
       protocol::path_schedule(6, Mode::kHalfDuplex),
@@ -174,19 +173,7 @@ TEST(Audit, CompiledEntryPointsMatchScheduleEntryPoints) {
       protocol::hypercube_schedule(4, Mode::kFullDuplex),
   };
   for (const auto& sched : corpus) {
-    const auto cs = protocol::CompiledSchedule::compile(sched);
-    const auto acts = vertex_activities(cs);
-    const auto legacy_acts = vertex_activities(sched);
-    ASSERT_EQ(acts.size(), legacy_acts.size());
-    for (std::size_t v = 0; v < acts.size(); ++v) {
-      EXPECT_EQ(acts[v].left_rounds, legacy_acts[v].left_rounds);
-      EXPECT_EQ(acts[v].right_rounds, legacy_acts[v].right_rounds);
-      EXPECT_EQ(acts[v].active_rounds, legacy_acts[v].active_rounds);
-    }
-    for (double lambda : {0.3, 0.6, 0.9})
-      EXPECT_DOUBLE_EQ(audit_norm_bound(cs, lambda),
-                       audit_norm_bound(sched, lambda));
-    const auto a = audit_schedule(cs);
+    const auto a = audit_schedule(protocol::CompiledSchedule::compile(sched));
     const auto b = audit_schedule(sched);
     EXPECT_DOUBLE_EQ(a.lambda_star, b.lambda_star);
     EXPECT_DOUBLE_EQ(a.e_coeff, b.e_coeff);
@@ -196,11 +183,11 @@ TEST(Audit, CompiledEntryPointsMatchScheduleEntryPoints) {
 }
 
 TEST(Audit, AuditNormBoundRejectsBadLambda) {
-  const auto sched = protocol::path_schedule(4, Mode::kHalfDuplex);
-  EXPECT_THROW((void)audit_norm_bound(sched, 0.0), std::invalid_argument);
-  EXPECT_THROW((void)audit_norm_bound(sched, 1.0), std::invalid_argument);
+  const auto cs = protocol::CompiledSchedule::compile(
+      protocol::path_schedule(4, Mode::kHalfDuplex));
+  EXPECT_THROW((void)audit_norm_bound(cs, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)audit_norm_bound(cs, 1.0), std::invalid_argument);
 }
-
 
 // ---------------------------------------------------------------------------
 // Differential oracle: the audit evaluates its bound once per activation
@@ -272,33 +259,6 @@ AuditResult audit(const protocol::CompiledSchedule& cs) {
   return res;
 }
 
-SeparatorAuditResult separator_audit(const protocol::CompiledSchedule& cs,
-                                     int distance, std::size_t min_size) {
-  const auto acts = vertex_activities(cs);
-  const int s = cs.period_length();
-  const double log_c = std::log2(static_cast<double>(min_size));
-  SeparatorAuditResult best;
-  for (int i = 1; i < 512; ++i) {
-    const double lambda = static_cast<double>(i) / 512;
-    const double f = norm_bound(acts, s, lambda, cs.mode());
-    if (f > 1.0 || f <= 0.0) continue;
-    const double log_inv = std::log2(1.0 / lambda);
-    const double rhs = log_c + (distance - 1) * std::log2(1.0 / f);
-    int t = std::max(1, distance);
-    while (t * log_inv + std::log2(static_cast<double>(t - distance + 2)) +
-               std::log2(static_cast<double>(t)) <
-           rhs) {
-      ++t;
-      if (t > (1 << 28)) break;
-    }
-    if (t > best.round_lower_bound) {
-      best.round_lower_bound = t;
-      best.lambda = lambda;
-    }
-  }
-  return best;
-}
-
 }  // namespace ref
 
 // Bit-equal audit results (EXPECT_EQ on doubles, not a tolerance).
@@ -313,23 +273,14 @@ void expect_matches_reference(const protocol::CompiledSchedule& cs,
   EXPECT_EQ(got.worst_vertex, want.worst_vertex);
 }
 
-void expect_norm_and_separator_match_reference(
-    const protocol::CompiledSchedule& cs, const std::string& label) {
+void expect_norm_matches_reference(const protocol::CompiledSchedule& cs,
+                                   const std::string& label) {
   SCOPED_TRACE(label);
   const auto acts = vertex_activities(cs);
   for (double lambda : {0.05, 0.3, 0.5, 0.62, 0.77, 0.95})
     EXPECT_EQ(audit_norm_bound(cs, lambda),
               ref::norm_bound(acts, cs.period_length(), lambda, cs.mode()))
         << "lambda=" << lambda;
-  for (int distance : {1, 2, 3, 5}) {
-    for (std::size_t min_size : {std::size_t{1}, std::size_t{4}, std::size_t{64}}) {
-      const auto got = audit_schedule_with_separator(cs, distance, min_size);
-      const auto want = ref::separator_audit(cs, distance, min_size);
-      EXPECT_EQ(got.lambda, want.lambda) << "distance=" << distance;
-      EXPECT_EQ(got.round_lower_bound, want.round_lower_bound)
-          << "distance=" << distance << " min_size=" << min_size;
-    }
-  }
 }
 
 TEST(AuditClasses, MatchesPerVertexReferenceOnEveryRegistryFamily) {
@@ -365,7 +316,7 @@ TEST(AuditClasses, MatchesPerVertexReferenceOnEveryRegistryFamily) {
                                 std::to_string(m.D) +
                                 (mode == Mode::kFullDuplex ? " full" : " half");
       expect_matches_reference(cs, label);
-      expect_norm_and_separator_match_reference(cs, label);
+      expect_norm_matches_reference(cs, label);
     }
   }
 }
@@ -392,7 +343,7 @@ TEST(AuditClasses, MatchesPerVertexReferenceOnRandomSchedules) {
       const std::string label = "random s=" + std::to_string(s) +
                                 (mode == Mode::kFullDuplex ? " full" : " half");
       expect_matches_reference(cs, label);
-      expect_norm_and_separator_match_reference(cs, label);
+      expect_norm_matches_reference(cs, label);
     }
   }
 }

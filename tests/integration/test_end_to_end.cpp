@@ -19,6 +19,13 @@ namespace {
 
 using protocol::Mode;
 
+// Definition 3.1, condition 2: every item reaches every vertex within the
+// protocol's own length.
+bool achieves_gossip(const protocol::Protocol& p) {
+  return simulator::gossip_time(protocol::CompiledSchedule::compile(p),
+                                p.length()) >= 0;
+}
+
 TEST(EndToEnd, DeBruijnPipeline) {
   const auto g = topology::de_bruijn(2, 4);
   const auto sched = protocol::edge_coloring_schedule(g, Mode::kHalfDuplex);
@@ -33,7 +40,7 @@ TEST(EndToEnd, DeBruijnPipeline) {
   // 3. The expanded protocol is systolic with the schedule's period.
   const auto p = sched.expand(measured);
   EXPECT_TRUE(protocol::is_systolic(p, sched.period_length()));
-  EXPECT_TRUE(simulator::achieves_gossip(p));
+  EXPECT_TRUE(achieves_gossip(p));
 
   // 4. Audit certificate below the measured time.
   const auto audit = core::audit_schedule(sched);
@@ -63,7 +70,7 @@ TEST(EndToEnd, TruncatedProtocolFailsGossipButKeepsStructure) {
   ASSERT_GT(full_time, 1);
   const auto truncated = sched.expand(full_time - 1);
   EXPECT_TRUE(protocol::validate_structure(truncated, &g).ok);
-  EXPECT_FALSE(simulator::achieves_gossip(truncated));
+  EXPECT_FALSE(achieves_gossip(truncated));
 }
 
 TEST(EndToEnd, CorruptedRoundIsCaughtByValidation) {
@@ -82,10 +89,11 @@ TEST(EndToEnd, BroadcastTimesBoundGossipTime) {
   // max over sources of broadcast time <= gossip time.
   const auto g = topology::de_bruijn(2, 3);
   const auto sched = protocol::edge_coloring_schedule(g, Mode::kHalfDuplex);
-  const int gossip = simulator::gossip_time(sched, 2000);
+  const auto cs = protocol::CompiledSchedule::compile(sched);
+  const int gossip = simulator::gossip_time(cs, 2000);
   ASSERT_GT(gossip, 0);
   for (int src = 0; src < g.vertex_count(); src += 3) {
-    const int b = simulator::broadcast_time(sched, src, 2000);
+    const int b = simulator::broadcast_time(cs, src, 2000);
     ASSERT_GT(b, 0);
     EXPECT_LE(b, gossip);
   }

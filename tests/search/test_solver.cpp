@@ -6,7 +6,6 @@
 #include <cstdlib>
 
 #include "reference_search.hpp"
-#include "simulator/broadcast_sim.hpp"
 #include "simulator/gossip_sim.hpp"
 #include "topology/classic.hpp"
 #include "topology/knodel.hpp"
@@ -15,6 +14,13 @@ namespace sysgo::search {
 namespace {
 
 using protocol::Mode;
+
+// Definition 3.1, condition 2: every item reaches every vertex within the
+// protocol's own length.
+bool achieves_gossip(const protocol::Protocol& p) {
+  return simulator::gossip_time(protocol::CompiledSchedule::compile(p),
+                                p.length()) >= 0;
+}
 
 SolveResult run(const graph::Digraph& g, Problem p, Mode m,
                 unsigned threads = 1) {
@@ -364,11 +370,11 @@ TEST(OptimalGossip, WitnessProtocolActuallyGossips) {
     p.mode = mode;
     p.rounds = res.witness;
     EXPECT_TRUE(protocol::validate_structure(p, &g).ok);
-    EXPECT_TRUE(simulator::achieves_gossip(p));
+    EXPECT_TRUE(achieves_gossip(p));
     EXPECT_EQ(p.length(), res.rounds);
     // One round fewer cannot gossip (optimality of the witness length).
     p.rounds.pop_back();
-    EXPECT_FALSE(simulator::achieves_gossip(p));
+    EXPECT_FALSE(achieves_gossip(p));
   }
 }
 
@@ -406,7 +412,7 @@ TEST(OptimalGossip, HandlesNineVerticesViaSearchSubsystem) {
   p.n = 9;
   p.mode = Mode::kFullDuplex;
   p.rounds = res.witness;
-  EXPECT_TRUE(simulator::achieves_gossip(p));
+  EXPECT_TRUE(achieves_gossip(p));
 }
 
 }  // namespace

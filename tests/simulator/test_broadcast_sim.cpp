@@ -2,20 +2,35 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "simulator/gossip_sim.hpp"
 #include "support/classic_protocols.hpp"
 
 namespace sysgo::simulator {
 namespace {
 
+using protocol::CompiledSchedule;
 using protocol::Mode;
+
+// Gossip completion read off one broadcast per source: the latest arrival,
+// or -1 when some item never reaches some vertex.
+int completion_from_reach(const CompiledSchedule& cs) {
+  int worst = 0;
+  for (int src = 0; src < cs.n(); ++src)
+    for (const int t : broadcast_reach(cs, src)) {
+      if (t == -1) return -1;
+      worst = std::max(worst, t);
+    }
+  return worst;
+}
 
 TEST(BroadcastSim, ReachOnChainProtocol) {
   protocol::Protocol p;
   p.n = 4;
   p.mode = Mode::kHalfDuplex;
   p.rounds = {{{{0, 1}}}, {{{1, 2}}}, {{{2, 3}}}};
-  const auto reach = broadcast_reach(p, 0);
+  const auto reach = broadcast_reach(CompiledSchedule::compile(p), 0);
   EXPECT_EQ(reach[0], 0);
   EXPECT_EQ(reach[1], 1);
   EXPECT_EQ(reach[2], 2);
@@ -30,7 +45,7 @@ TEST(BroadcastSim, NoSameRoundForwarding) {
   // (0,1) and (1,2) can't share a round (matching); use separate rounds and
   // check the reverse order does not deliver.
   p.rounds = {{{{1, 2}}}, {{{0, 1}}}};
-  const auto reach = broadcast_reach(p, 0);
+  const auto reach = broadcast_reach(CompiledSchedule::compile(p), 0);
   EXPECT_EQ(reach[1], 2);
   EXPECT_EQ(reach[2], -1);  // the (1,2) activation came before 1 was informed
 }
@@ -39,7 +54,7 @@ TEST(BroadcastSim, UnreachedVerticesAreMinusOne) {
   protocol::Protocol p;
   p.n = 3;
   p.rounds = {{{{0, 1}}}};
-  const auto reach = broadcast_reach(p, 2);
+  const auto reach = broadcast_reach(CompiledSchedule::compile(p), 2);
   EXPECT_EQ(reach[2], 0);
   EXPECT_EQ(reach[0], -1);
   EXPECT_EQ(reach[1], -1);
@@ -47,15 +62,17 @@ TEST(BroadcastSim, UnreachedVerticesAreMinusOne) {
 
 TEST(BroadcastSim, HypercubeBroadcastInDRounds) {
   const int D = 4;
-  const auto sched = protocol::hypercube_schedule(D, Mode::kFullDuplex);
+  const auto cs = CompiledSchedule::compile(
+      protocol::hypercube_schedule(D, Mode::kFullDuplex));
   for (int src : {0, 5, 15}) {
-    EXPECT_EQ(broadcast_time(sched, src, 10 * D), D) << "src=" << src;
+    EXPECT_EQ(broadcast_time(cs, src, 10 * D), D) << "src=" << src;
   }
 }
 
 TEST(BroadcastSim, BroadcastNeverBeatsEccentricity) {
-  const auto sched = protocol::path_schedule(9, Mode::kFullDuplex);
-  const int t = broadcast_time(sched, 0, 200);
+  const auto cs = CompiledSchedule::compile(
+      protocol::path_schedule(9, Mode::kFullDuplex));
+  const int t = broadcast_time(cs, 0, 200);
   ASSERT_GT(t, 0);
   EXPECT_GE(t, 8);  // distance from 0 to 8
 }
@@ -64,24 +81,26 @@ TEST(BroadcastSim, BroadcastTimeUnreachable) {
   protocol::SystolicSchedule sched;
   sched.n = 3;
   sched.period = {{{{0, 1}}}};
-  EXPECT_EQ(broadcast_time(sched, 0, 50), -1);
+  EXPECT_EQ(broadcast_time(CompiledSchedule::compile(sched), 0, 50), -1);
 }
 
-TEST(BroadcastSim, CompiledMatchesLegacyBroadcast) {
+// The periodic executor (broadcast_time) and the finite one
+// (broadcast_reach over the schedule expanded to that many rounds) agree.
+TEST(BroadcastSim, PeriodicTimeMatchesExpandedReach) {
   const std::vector<protocol::SystolicSchedule> corpus = {
       protocol::path_schedule(7, Mode::kHalfDuplex),
       protocol::hypercube_schedule(4, Mode::kFullDuplex),
       protocol::cycle_schedule(6, Mode::kFullDuplex),
   };
   for (const auto& sched : corpus) {
-    const auto cs = protocol::CompiledSchedule::compile(sched);
+    const auto cs = CompiledSchedule::compile(sched);
     for (int src = 0; src < sched.n; ++src) {
-      EXPECT_EQ(broadcast_time(cs, src, 500), broadcast_time(sched, src, 500));
-      const int t = broadcast_time(sched, src, 500);
+      const int t = broadcast_time(cs, src, 500);
       ASSERT_GT(t, 0);
-      const auto p = sched.expand(t);
-      EXPECT_EQ(broadcast_reach(protocol::CompiledSchedule::compile(p), src),
-                broadcast_reach(p, src));
+      const auto reach =
+          broadcast_reach(CompiledSchedule::compile(sched.expand(t)), src);
+      EXPECT_EQ(*std::max_element(reach.begin(), reach.end()), t);
+      EXPECT_EQ(std::count(reach.begin(), reach.end(), -1), 0);
     }
   }
 }
@@ -89,47 +108,29 @@ TEST(BroadcastSim, CompiledMatchesLegacyBroadcast) {
 TEST(BroadcastSim, CompiledReachRejectsPeriodicSchedules) {
   const auto sched = protocol::path_schedule(4, Mode::kHalfDuplex);
   EXPECT_THROW(
-      (void)broadcast_reach(protocol::CompiledSchedule::compile(sched), 0),
+      (void)broadcast_reach(CompiledSchedule::compile(sched), 0),
       std::invalid_argument);
 }
 
-TEST(BroadcastSim, AchievesGossipExactlyWhenComplete) {
-  const auto good = protocol::hypercube_schedule(3, Mode::kFullDuplex).expand(3);
-  EXPECT_TRUE(achieves_gossip(good));
-  const auto bad = protocol::hypercube_schedule(3, Mode::kFullDuplex).expand(2);
-  EXPECT_FALSE(achieves_gossip(bad));
-}
-
-TEST(BroadcastSim, ArrivalMatrixRowsMatchBroadcastReach) {
-  const auto p = protocol::path_schedule(5, Mode::kHalfDuplex).expand(30);
-  const auto arrivals = arrival_times(p);
-  ASSERT_EQ(arrivals.size(), 5u);
-  for (int src = 0; src < 5; ++src)
-    EXPECT_EQ(arrivals[static_cast<std::size_t>(src)], broadcast_reach(p, src));
-}
-
-TEST(BroadcastSim, ArrivalCompletionMatchesGossipTime) {
-  const auto sched = protocol::hypercube_schedule(3, Mode::kFullDuplex);
-  const auto p = sched.expand(10);
-  const auto arrivals = arrival_times(p);
-  const int from_arrivals = gossip_completion_from_arrivals(arrivals);
-  const int t = gossip_time(protocol::CompiledSchedule::compile(p), p.length());
-  ASSERT_GT(t, 0);
-  EXPECT_EQ(from_arrivals, t);
-}
-
-TEST(BroadcastSim, ArrivalCompletionMinusOneWhenUnserved) {
-  protocol::Protocol p;
-  p.n = 3;
-  p.rounds = {{{{0, 1}}}};
-  EXPECT_EQ(gossip_completion_from_arrivals(arrival_times(p)), -1);
+TEST(BroadcastSim, ReachCompletionMatchesGossipTime) {
+  const auto good = CompiledSchedule::compile(
+      protocol::hypercube_schedule(3, Mode::kFullDuplex).expand(10));
+  const int t = gossip_time(good, good.round_count());
+  EXPECT_EQ(t, 3);
+  EXPECT_EQ(completion_from_reach(good), t);
+  // Two rounds of the hypercube exchange serve no pair at distance 3.
+  const auto short_run = CompiledSchedule::compile(
+      protocol::hypercube_schedule(3, Mode::kFullDuplex).expand(2));
+  EXPECT_EQ(gossip_time(short_run, short_run.round_count()), -1);
+  EXPECT_EQ(completion_from_reach(short_run), -1);
 }
 
 TEST(BroadcastSim, GossipImpliesBroadcastFromEverySource) {
-  const auto p = protocol::path_schedule(6, Mode::kHalfDuplex).expand(40);
-  ASSERT_TRUE(achieves_gossip(p));
+  const auto cs = CompiledSchedule::compile(
+      protocol::path_schedule(6, Mode::kHalfDuplex).expand(40));
+  ASSERT_GE(gossip_time(cs, cs.round_count()), 0);
   for (int src = 0; src < 6; ++src) {
-    const auto reach = broadcast_reach(p, src);
+    const auto reach = broadcast_reach(cs, src);
     for (int v = 0; v < 6; ++v) EXPECT_NE(reach[static_cast<std::size_t>(v)], -1);
   }
 }

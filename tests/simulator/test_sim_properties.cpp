@@ -59,23 +59,21 @@ TEST_P(SimProperty, BroadcastViewMatchesKnowledgeView) {
 
   // The engine's coverage must equal the number of (source, vertex) pairs
   // whose item arrived, counted one broadcast at a time.
+  const auto cs = protocol::CompiledSchedule::compile(p);
   std::int64_t reached = 0;
   for (int src = 0; src < p.n; ++src)
-    for (const int t : broadcast_reach(p, src)) reached += t != -1 ? 1 : 0;
+    for (const int t : broadcast_reach(cs, src)) reached += t != -1 ? 1 : 0;
   GossipArena arena;
-  EXPECT_EQ(arena
-                .run(protocol::CompiledSchedule::compile(p), p.length(),
-                     /*coverage=*/true)
-                .coverage,
-            reached);
+  EXPECT_EQ(arena.run(cs, p.length(), /*coverage=*/true).coverage, reached);
 }
 
 TEST_P(SimProperty, ReachTimesRespectRoundOrdering) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 31 + 5);
   const auto g = pick_network(GetParam() + 2);
   const auto p = protocol::random_protocol(g, 12, Mode::kHalfDuplex, rng);
+  const auto cs = protocol::CompiledSchedule::compile(p);
   for (int src = 0; src < p.n; src += 3) {
-    const auto reach = broadcast_reach(p, src);
+    const auto reach = broadcast_reach(cs, src);
     EXPECT_EQ(reach[static_cast<std::size_t>(src)], 0);
     for (int v = 0; v < p.n; ++v) {
       const int r = reach[static_cast<std::size_t>(v)];

@@ -2,7 +2,6 @@
 //
 //   sysgo bound <s|inf> [half|full]       general coefficient e(s)
 //   sysgo table <fig4|fig5|fig6|fig8>     reproduce a paper table (CSV)
-//   sysgo sweep fig5|fig6                 engine-reproduced paper tables
 //   sysgo sweep [grid flags]              parallel scenario sweep (CSV/JSON)
 //   sysgo solve [grid flags]              exact gossip/broadcast optima
 //   sysgo synth [grid flags]              heuristic schedule synthesis
@@ -48,7 +47,6 @@
 
 #include "core/audit.hpp"
 #include "core/bounds.hpp"
-#include "engine/figures.hpp"
 #include "engine/scenario.hpp"
 #include "engine/sweep.hpp"
 #include "io/csv.hpp"
@@ -76,7 +74,6 @@ int usage() {
                "usage:\n"
                "  sysgo bound <s|inf> [half|full]\n"
                "  sysgo table <fig4|fig5|fig6|fig8>\n"
-               "  sysgo sweep fig5|fig6\n"
                "  sysgo sweep|solve|synth [grid flags] [command flags]\n"
                "    grid flags (all three commands):\n"
                "      --families f1,f2,..  bf wbf-dir wbf db-dir db kautz-dir "
@@ -695,21 +692,7 @@ const GridCommand* find_grid_command(const std::string& name) {
   return nullptr;
 }
 
-/// `sysgo sweep fig5|fig6`: the engine-reproduced paper tables.
-int cmd_sweep_figure(int argc, char** argv) {
-  if (argc != 1) return usage();
-  engine::SweepRunner runner;
-  const std::string csv = std::strcmp(argv[0], "fig5") == 0
-                              ? engine::fig5_csv(runner)
-                              : engine::fig6_csv(runner);
-  std::fputs(csv.c_str(), stdout);
-  return 0;
-}
-
 int cmd_grid(const GridCommand& cmd, int argc, char** argv) {
-  if (cmd.bit == kSweep && argc >= 1 &&
-      (std::strcmp(argv[0], "fig5") == 0 || std::strcmp(argv[0], "fig6") == 0))
-    return cmd_sweep_figure(argc, argv);
   GridArgs a{cmd, cmd.defaults, {}, {}};
   for (int i = 0; i < argc; ++i) {
     const std::string flag = argv[i];
