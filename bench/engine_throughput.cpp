@@ -1,5 +1,5 @@
 // Engine throughput (ours): gossip-simulator round rate, serial vs threaded
-// column slices — the ablation benches of DESIGN.md.
+// column slices.
 #include <benchmark/benchmark.h>
 
 #include "bench_json.hpp"

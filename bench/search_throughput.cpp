@@ -1,6 +1,5 @@
 // Exact-search throughput: canonical states per second, plus the state-space
-// compression the symmetry layer buys over the identity-only search that the
-// old analysis/optimal BFS amounted to.
+// compression the symmetry layer buys over an identity-only search.
 #include <benchmark/benchmark.h>
 
 #include "bench_json.hpp"

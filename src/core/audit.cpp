@@ -158,8 +158,12 @@ AuditResult audit_schedule(const protocol::CompiledSchedule& cs) {
   const auto f = [&](double lam) { return classes.evaluate(lam).bound - 1.0; };
 
   if (f(kHiLambda) <= 0.0) {
-    // Norm bound below 1 even as λ -> 1: the schedule has no relaying
-    // vertex; gossip cannot complete and no finite certificate applies.
+    // The norm bound stays below 1 on all of (0, 1), so λ* is pinned at
+    // 1 − 10⁻⁹ (e ≈ 6.9·10⁸).  A schedule with no relaying vertex lands
+    // here, but so do small full-duplex schedules that do gossip: C4 and
+    // C6 with period 2 have bound λ < 1 at every vertex.  The round bound
+    // at the pinned λ* can then exceed the achieved time (C4: 3 > 2, C6:
+    // 4 > 3).  The values stay until the fix of ROADMAP.md item 1 lands.
     res.lambda_star = kHiLambda;
   } else {
     const auto root = linalg::bisect(f, kLoLambda, kHiLambda);

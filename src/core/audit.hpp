@@ -11,7 +11,7 @@
 // Because the audit uses each vertex's actual totals (L_x, R_x) rather than
 // the worst-case ⌈s/2⌉/⌊s/2⌋ split, it can certify strictly more than the
 // general e(s)·log n bound — the per-protocol refinement the paper's
-// technique enables (see DESIGN.md, ablation 2).
+// technique enables.
 //
 // Cost: the bound depends on a vertex only through its per-period role
 // sequence, so the audit walks the role tables once to group vertices into

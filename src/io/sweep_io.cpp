@@ -102,8 +102,6 @@ engine::SweepRecord record_from_cells(const std::vector<std::string>& cells,
 
 std::string sweep_csv_header() { return csv_line(kColumns); }
 
-const std::vector<std::string>& sweep_csv_columns() { return kColumns; }
-
 std::string sweep_csv_row(const engine::SweepRecord& r) {
   return csv_line(record_cells(r));
 }

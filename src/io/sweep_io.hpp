@@ -14,9 +14,6 @@ namespace sysgo::io {
 /// CSV column header line for sweep records.
 [[nodiscard]] std::string sweep_csv_header();
 
-/// Column names in emission order (the cells of sweep_csv_header()).
-[[nodiscard]] const std::vector<std::string>& sweep_csv_columns();
-
 /// One record as a CSV line (ends with '\n').
 [[nodiscard]] std::string sweep_csv_row(const engine::SweepRecord& r);
 

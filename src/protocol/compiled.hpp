@@ -20,9 +20,8 @@
 // network (when given), endpoints in range, full-duplex opposite pairs —
 // in time linear in the arcs (plus a sort of any round not already in
 // canonical order), and a successfully constructed CompiledSchedule records
-// that proof in the type: the simulator, auditor, delay-digraph builder,
-// gap analysis, sweep engine and search witness checks all execute compiled
-// rounds without re-checking anything.
+// that proof in the type: the simulator, auditor, sweep engine and search
+// witness checks all execute compiled rounds without re-checking anything.
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,9 @@
-#include "analysis/optimal.hpp"
+#include "search/matchings.hpp"
 
 #include <algorithm>
 #include <stdexcept>
 
-namespace sysgo::analysis {
+namespace sysgo::search {
 namespace {
 
 using protocol::Mode;
@@ -97,4 +97,4 @@ std::vector<Round> maximal_matchings(const graph::Digraph& g, Mode mode) {
   return prune_to_maximal(std::move(out));
 }
 
-}  // namespace sysgo::analysis
+}  // namespace sysgo::search

@@ -8,7 +8,7 @@
 #include "graph/digraph.hpp"
 #include "protocol/protocol.hpp"
 
-namespace sysgo::analysis {
+namespace sysgo::search {
 
 /// All maximal matchings of g in the given mode (n <= 16).  Half-duplex:
 /// maximal sets of vertex-disjoint arcs; full-duplex: maximal sets of
@@ -23,4 +23,4 @@ namespace sysgo::analysis {
 [[nodiscard]] std::vector<protocol::Round> maximal_matchings(
     const graph::Digraph& g, protocol::Mode mode);
 
-}  // namespace sysgo::analysis
+}  // namespace sysgo::search

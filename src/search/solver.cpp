@@ -9,13 +9,13 @@
 #include <stdexcept>
 #include <utility>
 
-#include "analysis/optimal.hpp"
 #include "graph/search.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perf.hpp"
 #include "obs/trace.hpp"
 #include "obs/wall_timer.hpp"
 #include "protocol/compiled.hpp"
+#include "search/matchings.hpp"
 #include "search/state_set.hpp"
 #include "search/symmetry.hpp"
 #include "simulator/broadcast_sim.hpp"
@@ -440,7 +440,7 @@ SolveResult solve(const graph::Digraph& g, const SolveOptions& opts) {
                             : heur.broadcast_feasible(opts.source);
   if (!feasible) return res;  // rounds = -1: goal unreachable at any depth
 
-  const auto moves = analysis::maximal_matchings(g, opts.mode);
+  const auto moves = maximal_matchings(g, opts.mode);
   if (moves.empty()) return res;
 
   AutomorphismGroup group;

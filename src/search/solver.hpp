@@ -2,18 +2,16 @@
 //
 // Computes the exact gossip or broadcast complexity of a concrete network
 // (n <= 12) in either duplex mode by searching the knowledge-state space
-// whose moves are the maximal matchings of the network
-// (analysis::maximal_matchings; restricting to maximal rounds is lossless
-// because knowledge is monotone).  States are stored canonically under (a
-// subgroup of) the network's automorphism group (symmetry.hpp), dividing
-// the reachable space by up to |Aut(G)|; that is what makes instances
-// tractable that the old 64-bit BFS oracle (n <= 8) could not represent or
-// finish.  Alongside the optimum the solver reports an admissible lower
-// bound at the root — the per-instance forms of the repo's analytic
+// whose moves are the maximal matchings of the network (matchings.hpp;
+// restricting to maximal rounds is lossless because knowledge is
+// monotone).  States are stored canonically under (a subgroup of) the
+// network's automorphism group (symmetry.hpp), dividing the reachable
+// space by up to |Aut(G)|; that is what makes instances up to n = 12
+// tractable.  Alongside the optimum the solver reports an admissible lower
+// bound at the root — the per-instance forms of the classic analytic
 // bounds: the distance deficit (every unknown item u must still travel
-// dist(u, v), cf. core/diameter_bound) and the information-doubling
-// deficit (a row at most doubles per round, the broadcasting-bound growth
-// argument of core/broadcast_bound).
+// dist(u, v)) and the information-doubling deficit (a row at most doubles
+// per round, the growth argument behind the broadcasting bound).
 //
 // One search per problem.  Gossip runs a frontier-parallel BFS on the
 // persistent util/thread_pool; its results — rounds and states_explored —

@@ -5,10 +5,14 @@
 #include <cmath>
 
 #include "core/bounds.hpp"
-#include "linalg/polynomial.hpp"
 
 namespace sysgo::core {
 namespace {
+
+// The production Lemma 6.1 bound λ + λ² + … + λ^{s−1}.
+double lemma61_bound(int s, double lambda) {
+  return norm_bound_function(lambda, s, Duplex::kFull);
+}
 
 TEST(FullDuplex, Fig7StructureS4) {
   // Fig. 7: s = 4, superdiagonals λ, λ², λ³.
@@ -25,9 +29,9 @@ TEST(FullDuplex, Fig7StructureS4) {
 
 TEST(FullDuplex, Lemma61BoundValue) {
   const double lam = 0.5;
-  EXPECT_NEAR(full_duplex_norm_bound(4, lam), lam + lam * lam + lam * lam * lam,
+  EXPECT_NEAR(lemma61_bound(4, lam), lam + lam * lam + lam * lam * lam,
               1e-15);
-  EXPECT_NEAR(full_duplex_norm_bound(2, lam), lam, 1e-15);
+  EXPECT_NEAR(lemma61_bound(2, lam), lam, 1e-15);
 }
 
 TEST(FullDuplex, ExactNormBelowBound) {
@@ -35,7 +39,7 @@ TEST(FullDuplex, ExactNormBelowBound) {
     for (double lam : {0.3, 0.5, 0.55})
       for (int t : {4, 8, 16, 32})
         EXPECT_LE(full_duplex_norm_exact(t, s, lam),
-                  full_duplex_norm_bound(s, lam) + 1e-9)
+                  lemma61_bound(s, lam) + 1e-9)
             << "s=" << s << " t=" << t;
 }
 
@@ -43,7 +47,7 @@ TEST(FullDuplex, ExactNormApproachesBound) {
   // As t grows, the finite matrix norm approaches the Lemma 6.1 value.
   const int s = 4;
   const double lam = 0.5;
-  const double bound = full_duplex_norm_bound(s, lam);
+  const double bound = lemma61_bound(s, lam);
   const double near_bound = full_duplex_norm_exact(256, s, lam);
   EXPECT_GT(near_bound, 0.98 * bound);
   EXPECT_LE(near_bound, bound + 1e-9);
@@ -58,13 +62,6 @@ TEST(FullDuplex, NormMonotoneInT) {
     EXPECT_GE(cur, prev - 1e-10);
     prev = cur;
   }
-}
-
-TEST(FullDuplex, BoundMatchesNormBoundFunction) {
-  for (int s : {3, 4, 8})
-    for (double lam : {0.3, 0.5})
-      EXPECT_NEAR(full_duplex_norm_bound(s, lam),
-                  norm_bound_function(lam, s, Duplex::kFull), 1e-15);
 }
 
 TEST(FullDuplex, RejectsBadArguments) {

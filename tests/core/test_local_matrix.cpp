@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "core/audit.hpp"
 #include "core/bounds.hpp"
 #include "linalg/polynomial.hpp"
 #include "support/power_iteration.hpp"
@@ -14,6 +15,16 @@ namespace {
 
 LocalPattern simple_pattern() { return {{1}, {1}}; }  // l = r = 1, s = 2... s >= 3 needed
 LocalPattern paper_k2_pattern() { return {{1, 2}, {2, 1}}; }  // s = 6, k = 2
+
+// The production audit's Lemma 4.3 bound for a vertex with the pattern's
+// per-period totals L and R (the half-duplex bound reads nothing else).
+double audit_bound(const LocalPattern& pat, double lambda) {
+  VertexActivity act;
+  act.left_rounds = pat.left_total();
+  act.right_rounds = pat.right_total();
+  return vertex_norm_bound(act, pat.period(), lambda,
+                           protocol::Mode::kHalfDuplex);
+}
 
 TEST(LocalPattern, TotalsAndPeriod) {
   const auto pat = paper_k2_pattern();
@@ -169,10 +180,12 @@ TEST(LocalMatrix, NormViaOxNxComposition) {
 TEST(LocalMatrix, ExactNormBelowLemma43Bound) {
   const auto pat = paper_k2_pattern();
   for (double lam : {0.3, 0.5, 0.62}) {
-    const double bound = local_norm_bound(pat, lam);
+    const double bound = audit_bound(pat, lam);
     for (int h = 2; h <= 8; ++h)
       EXPECT_LE(local_norm_exact(pat, h, lam), bound + 1e-9)
           << "h=" << h << " lam=" << lam;
+    // Lemma 4.3 is tight: over eight blocks the exact norm is within 1%.
+    EXPECT_GE(local_norm_exact(pat, 8, lam), 0.99 * bound) << "lam=" << lam;
   }
 }
 
@@ -193,7 +206,7 @@ TEST(LocalMatrix, BalancedPatternSaturatesGeneralBound) {
   for (int s : {4, 6, 8}) {
     LocalPattern pat{{s / 2}, {s / 2}};
     for (double lam : {0.4, 0.55}) {
-      EXPECT_NEAR(local_norm_bound(pat, lam),
+      EXPECT_NEAR(audit_bound(pat, lam),
                   norm_bound_function(lam, s, Duplex::kHalf), 1e-12);
     }
   }
@@ -206,7 +219,7 @@ TEST(LocalMatrix, UnbalancedPatternsBelowGeneralBound) {
   const double general = norm_bound_function(lam, s, Duplex::kHalf);
   for (int L = 1; L < s; ++L) {
     LocalPattern pat{{L}, {s - L}};
-    EXPECT_LE(local_norm_bound(pat, lam), general + 1e-12) << "L=" << L;
+    EXPECT_LE(audit_bound(pat, lam), general + 1e-12) << "L=" << L;
   }
 }
 
@@ -235,10 +248,14 @@ TEST_P(LocalMatrixProperty, RandomPatternsRespectTheLemmas) {
   const double lam = 0.25 + 0.5 * rng.uniform01();
   const int h = k + rng.uniform_int(1, 4);
 
-  // Lemma 4.3: exact norm below the analytic bound.
-  const double bound = local_norm_bound(pat, lam);
+  // Lemma 4.3: exact norm below the analytic bound, and equal to it for
+  // one block per period (Mx is then rank one).
+  const double bound = audit_bound(pat, lam);
   const double exact = local_norm_exact(pat, h, lam);
   EXPECT_LE(exact, bound + 1e-9);
+  if (k == 1) {
+    EXPECT_NEAR(exact, bound, 1e-7 * bound);
+  }
 
   // Lemma 4.2 inequality for Nx and Ox.
   const auto e = lemma42_semi_eigenvector(pat, h, lam);

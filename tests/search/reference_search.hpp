@@ -6,7 +6,7 @@
 // found by brute force over subsets of its links, maximal or not — as a
 // move.  Each round reads a copy of the state at its start (snapshot
 // semantics), as the whispering model is defined.  It shares no code with
-// src/search (in particular not analysis::maximal_matchings), so agreeing
+// src/search (in particular not search::maximal_matchings), so agreeing
 // with search::solve checks the symmetry reduction, the restriction to
 // maximal matchings and the batched frontier at once.  Small n only: the
 // raw state space is searched whole.  No library code calls it.

@@ -1,4 +1,4 @@
-#include "analysis/optimal.hpp"
+#include "search/matchings.hpp"
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,7 @@
 #include "topology/knodel.hpp"
 #include "util/rng.hpp"
 
-namespace sysgo::analysis {
+namespace sysgo::search {
 namespace {
 
 using protocol::Mode;
@@ -88,4 +88,4 @@ TEST(MaximalMatchings, SupportsUpToSixteenVertices) {
 }
 
 }  // namespace
-}  // namespace sysgo::analysis
+}  // namespace sysgo::search

@@ -43,9 +43,8 @@ SolveResult solve_with_witness(const graph::Digraph& g, Mode m,
 
 // ------------------------------------------------------------ golden optima
 //
-// Gossip values for n <= 8 cross-checked against the pre-subsystem 64-bit
-// BFS oracle that analysis/optimal used to hold; the small asymmetric
-// corpus below is checked against tests/search/reference_search.
+// Known optima; the small asymmetric corpus below is also checked against
+// tests/search/reference_search.
 
 struct Golden {
   const char* name;

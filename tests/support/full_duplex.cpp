@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "linalg/polynomial.hpp"
 #include "support/power_iteration.hpp"
 
 namespace sysgo::core {
@@ -18,10 +17,6 @@ linalg::Matrix full_duplex_local_matrix(int t, int s, double lambda) {
       m(static_cast<std::size_t>(i), static_cast<std::size_t>(i + delta)) =
           std::pow(lambda, delta);
   return m;
-}
-
-double full_duplex_norm_bound(int s, double lambda) {
-  return linalg::geometric_sum(s - 1, lambda);
 }
 
 double full_duplex_norm_exact(int t, int s, double lambda) {

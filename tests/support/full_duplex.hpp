@@ -17,11 +17,10 @@ namespace sysgo::core {
 /// 1 <= δ <= s−1 (a vertex active at every round of the period).
 [[nodiscard]] linalg::Matrix full_duplex_local_matrix(int t, int s, double lambda);
 
-/// Lemma 6.1 bound λ + λ² + … + λ^{s−1}.
-[[nodiscard]] double full_duplex_norm_bound(int s, double lambda);
-
 /// Exact ‖Mx(λ)‖ of the t-round matrix by power iteration (always below
-/// the Lemma 6.1 bound; approaches it as t grows).
+/// the Lemma 6.1 bound λ + λ² + … + λ^{s−1}, which production evaluates as
+/// core::norm_bound_function(λ, s, Duplex::kFull); approaches it as t
+/// grows).
 [[nodiscard]] double full_duplex_norm_exact(int t, int s, double lambda);
 
 }  // namespace sysgo::core

@@ -119,13 +119,6 @@ std::vector<double> lemma42_semi_eigenvector(const LocalPattern& pat, int h,
   return e;
 }
 
-double local_norm_bound(const LocalPattern& pat, double lambda) {
-  if (!pat.valid()) throw std::invalid_argument("LocalPattern: invalid blocks");
-  return lambda *
-         std::sqrt(linalg::delay_polynomial(pat.right_total(), lambda)) *
-         std::sqrt(linalg::delay_polynomial(pat.left_total(), lambda));
-}
-
 double local_norm_exact(const LocalPattern& pat, int h, double lambda) {
   const auto m = mx_matrix(pat, h, lambda);
   return linalg::operator_norm(m).value;

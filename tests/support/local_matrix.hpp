@@ -60,11 +60,9 @@ struct LocalPattern {
 [[nodiscard]] std::vector<double> lemma42_semi_eigenvector(const LocalPattern& pat,
                                                            int h, double lambda);
 
-/// Lemma 4.3 norm bound λ·√(p_R)·√(p_L) for this pattern.
-[[nodiscard]] double local_norm_bound(const LocalPattern& pat, double lambda);
-
 /// Exact ‖Mx(λ)‖ over h blocks by power iteration; monotone nondecreasing
-/// in h and always <= local_norm_bound (property-tested).
+/// in h and always <= the Lemma 4.3 bound that the production audit
+/// evaluates (core::vertex_norm_bound; property-tested).
 [[nodiscard]] double local_norm_exact(const LocalPattern& pat, int h, double lambda);
 
 }  // namespace sysgo::core
