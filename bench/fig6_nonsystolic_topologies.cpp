@@ -28,7 +28,8 @@ sysgo::engine::ScenarioSpec fig6_spec() {
   spec.degrees = {2, 3};
   spec.modes = {sysgo::protocol::Mode::kHalfDuplex};
   spec.periods = {sysgo::core::kUnboundedPeriod};
-  spec.tasks = {sysgo::engine::Task::kBound, sysgo::engine::Task::kDiameterBound};
+  spec.tasks = {sysgo::engine::Task::kBound,
+                sysgo::engine::Task::kDiameterBound};
   return spec;
 }
 

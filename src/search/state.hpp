@@ -2,9 +2,9 @@
 //
 // A gossip knowledge state on n vertices is the n x n boolean matrix
 // K(v, u) = "v knows u's item".  Each row is a 16-bit mask and a state is
-// 12 rows (192 bits), so every n <= 12 instance fits.  The all-zero state never occurs (every vertex knows its
-// own item), which lets the open-addressing tables of state_set.hpp use it
-// as the empty-slot marker.
+// 12 rows (192 bits), so every n <= 12 instance fits.  The all-zero state
+// never occurs (every vertex knows its own item), which lets the
+// open-addressing tables of state_set.hpp use it as the empty-slot marker.
 #pragma once
 
 #include <array>
